@@ -73,6 +73,16 @@ def _parse_field_flag(spec: str) -> ScalarField:
         f"bad field {spec!r}; expected Q or cyclotomic:<r>")
 
 
+def _trial_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one trial, got {n}")
+    return n
+
+
 def _zlocus(instance_ring, text: str | None) -> SupportLocus:
     if not text:
         return SupportLocus()
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exactness", help="sample fiberwise exactness off a locus")
     common(p, bundle_out=False)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_trial_count, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_exactness)
     return parser

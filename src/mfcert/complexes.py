@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .polynomials import Poly
-from .scalars import Scalar
+from .scalars import FieldError, ScalarField
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
                        assemble, direct_sum_modules, parity_unit)
 
@@ -345,43 +346,110 @@ class SampleReport:
         return self.ok
 
 
-def _rank(matrix: list[list[Scalar]]) -> int:
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = rows[row][col].inverse()
-        rows[row] = [x * inv for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[row])]
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): every entry after step k is a (k+1)-minor
+    of the input, so the division by the previous pivot is exact and entries
+    stay integers.  Rows are pivoted, zero rows are dropped, and leading
+    columns with no nonzero entry are skipped.
+    """
+    rows = [r for r in rows if any(r)]
+    rank, prev = 0, 1
+    while rows:
+        col = min(next(j for j, x in enumerate(r) if x) for r in rows)
+        at = next(i for i, r in enumerate(rows) if r[col])
+        pivot_row = rows.pop(at)
+        p = pivot_row[col]
+        tail = pivot_row[col + 1:]
+        reduced = []
+        for r in rows:
+            a = r[col]
+            if a:
+                nr = [(p * x - a * y) // prev for x, y in zip(r[col + 1:], tail)]
+            else:
+                nr = [p * x // prev for x in r[col + 1:]]
+            if any(nr):
+                reduced.append(nr)
+        rows = reduced
+        prev = p
         rank += 1
-        row += 1
-        if row == len(rows):
-            break
     return rank
 
 
-def _fiber_blocks(c: CurvedComplex, point: dict) -> tuple[list[list[Scalar]], list[list[Scalar]]]:
-    """Evaluate d at a point and split into even->odd and odd->even blocks."""
-    mod = c.module
-    e = mod.even_rank
-    num = c.d.evaluate(point)
-    d_plus = [row[:e] for row in num[e:]]           # V+ -> V-
-    d_minus = [row[e:] for row in num[:e]]          # V- -> V+
-    return d_plus, d_minus
+class _IntegerBlock:
+    """A polynomial matrix over Q(zeta_r), prepared for exact rank at integer points.
+
+    Each row is scaled by the lcm of the denominators in it, so evaluation at
+    an integer point is integer arithmetic and yields a coefficient vector of
+    length deg per entry.  An entry a is expanded into its deg x deg
+    multiplication matrix, the regular representation of Q(zeta_r) over Q
+    (1x1 for Q); the rank over the field is the integer rank of the expansion
+    divided by deg.
+    """
+
+    def __init__(self, rows: list[tuple[Poly, ...]], field: ScalarField, nvars: int):
+        if any(c.denominator != 1 for c in field.modulus):
+            raise FieldError(f"modulus of {field} is not integral")
+        self.deg = field.degree
+        self.modulus = [int(c) for c in field.modulus[:-1]]
+        self.ncols = len(rows[0]) if rows else 0
+        self.max_exp = [0] * nvars
+        self.rows = []
+        for row in rows:
+            den = 1
+            for p in row:
+                for coeff in p.terms.values():
+                    for q in coeff.coeffs:
+                        den = lcm(den, q.denominator)
+            entries = []
+            for j, p in enumerate(row):
+                if not p.terms:
+                    continue
+                terms = []
+                for exps, coeff in p.terms.items():
+                    self.max_exp = [max(a, b) for a, b in zip(self.max_exp, exps)]
+                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e),
+                                  [q.numerator * (den // q.denominator) for q in coeff.coeffs]))
+                entries.append((j, terms))
+            self.rows.append(entries)
+
+    def rank(self, values: list[int]) -> int:
+        """Rank over the field of the matrix evaluated at the given variable values."""
+        deg, modulus, width = self.deg, self.modulus, self.ncols * self.deg
+        powers = []
+        for x, top in zip(values, self.max_exp):
+            table = [1]
+            for _ in range(top):
+                table.append(table[-1] * x)
+            powers.append(table)
+        expanded = []
+        for entries in self.rows:
+            block = [[0] * width for _ in range(deg)]
+            for j, terms in entries:
+                value = [0] * deg
+                for mono, coeffs in terms:
+                    m = 1
+                    for v, e in mono:
+                        m *= powers[v][e]
+                    for k, c in enumerate(coeffs):
+                        if c:
+                            value[k] += c * m
+                # row k of the multiplication matrix is value * t^k reduced mod Phi_r
+                for k in range(deg):
+                    if k:
+                        top = value[-1]
+                        value = [0] + value[:-1]
+                        if top:
+                            value = [x - top * m for x, m in zip(value, modulus)]
+                    block[k][j * deg:(j + 1) * deg] = value
+            expanded.extend(block)
+        rank_q = _bareiss_rank(expanded)
+        if rank_q % deg:
+            raise ArithmeticError(
+                f"rank {rank_q} over Q of the expanded matrix is not a multiple "
+                f"of the field degree {deg}")
+        return rank_q // deg
 
 
 def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
@@ -392,7 +460,16 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     rank(d+) + rank(d-) equals both the odd and the even dimension; rank
     constancy across samples stands in for strictness.  This is a diagnostic:
     the certificate layer only accepts homotopy-based exactness proofs.
+
+    Ranks are exact.  Only the nonzero entries of the two odd blocks d+ and
+    d- are evaluated, in integers: each row's denominators are cleared once,
+    and powers of the point's coordinates come from a table.  Over
+    Q(zeta_r) every value is expanded into its multiplication matrix (the
+    regular representation over Q), and the rank is the fraction-free
+    Bareiss rank of the integer expansion divided by deg Phi_r.
     """
+    if trials < 1:
+        raise ValueError(f"exactness sampling needs at least one trial, got {trials}")
     if not c.is_flat():
         raise CurvatureError(f"exactness sampling needs curvature 0, got {c.curvature}")
     if z.is_everything():
@@ -402,6 +479,10 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     rng = random.Random(seed)
     half = height // 2
     variables = c.module.ring.variables
+    field, e = c.module.ring.field, c.module.even_rank
+    rows = c.d.entries
+    d_plus = _IntegerBlock([row[:e] for row in rows[e:]], field, len(variables))   # V+ -> V-
+    d_minus = _IntegerBlock([row[e:] for row in rows[:e]], field, len(variables))  # V- -> V+
     points: list[SamplePoint] = []
     attempts = 0
     limit = max(100, 20 * trials)
@@ -413,8 +494,8 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
         point = {v: rng.randint(-half, half) for v in variables}
         if not z.off_locus(point):
             continue
-        d_plus, d_minus = _fiber_blocks(c, point)
-        rp, rm = _rank(d_plus), _rank(d_minus)
+        values = [point[v] for v in variables]
+        rp, rm = d_plus.rank(values), d_minus.rank(values)
         exact = (rp + rm == c.module.odd_rank) and (rm + rp == c.module.even_rank)
         points.append(SamplePoint(point, rp, rm, exact))
     all_exact = all(pt.exact for pt in points)

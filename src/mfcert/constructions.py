@@ -766,7 +766,9 @@ def s_lambda_check(tau: TauData) -> SLambdaResult:
         action = clifford_action(section, spinor)
         for row in action.entries:   # degree guard: the family must close below r
             for p in row:
-                assert p.degree_in(LAMBDA) <= tau.r - 1
+                if p.degree_in(LAMBDA) > tau.r - 1:
+                    raise InvariantError(
+                        f"action entry {p} has lambda-degree above r - 1 = {tau.r - 1}")
         family = LambdaFamily.from_map(spinor.module, action, tau.r)
     return SLambdaResult(section, at_zero, spinor, verdict, square, family)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
-                            _multisets, apply_sym_tensor, multinomial)
+from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
+                            TwistFamily, _multisets, apply_sym_tensor,
+                            multinomial)
 from .polynomials import LAMBDA, Poly, PolyRing
 from .scalars import ScalarField, cyclotomic_field
 from .serialize import (ConeLiftInstance, LambdaInstance, RemarkInstance,
@@ -315,7 +316,8 @@ def gen_tau_data(r: int, size: int, seed: int,
 
     data = TauData(ring, r, coords, n1,
                    tuple(tuple(row) for row in dtilde), nu)
-    assert data.check(), "generated tau datum must satisfy the zero-composition"
+    if not data.check():
+        raise InvariantError("generated tau datum must satisfy the zero-composition")
     return data
 
 
@@ -362,7 +364,8 @@ def gen_ramond_data(r: int, size: int, seed: int,
                       tuple(tuple(row) for row in d), nu,
                       tuple(ring.const(c) for c in e1c),
                       tuple(ring.const(c) for c in e2c))
-    assert data.check(), "generated twist datum must satisfy its isotropy identity"
+    if not data.check():
+        raise InvariantError("generated twist datum must satisfy its isotropy identity")
     return data
 
 

@@ -95,7 +95,8 @@ def _cyclotomic_coeffs(r: int) -> tuple[Fraction, ...]:
         if r % d == 0:
             den = _umul(den, list(_cyclotomic_coeffs(d)))
     quo, rem = _udivmod(num, den)
-    assert not rem, f"cyclotomic division left a remainder for r={r}"
+    if rem:
+        raise FieldError(f"cyclotomic division left a remainder for r={r}")
     return tuple(quo)
 
 
@@ -173,7 +174,8 @@ class ScalarField:
         if not a:
             raise ZeroDivisionError("scalar division by zero")
         g, s, _ = _uxgcd(a, list(self.modulus))
-        assert len(g) == 1, "cyclotomic modulus is irreducible, gcd must be constant"
+        if len(g) != 1:
+            raise FieldError("cyclotomic modulus is irreducible, gcd must be constant")
         inv = [c / g[0] for c in s]
         return self._reduce(inv)
 
@@ -194,7 +196,8 @@ class Scalar:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: ScalarField, coeffs: tuple[Fraction, ...]):
-        assert len(coeffs) == field.degree
+        if len(coeffs) != field.degree:
+            raise FieldError(f"{field} needs {field.degree} coefficients, got {len(coeffs)}")
         self.field = field
         self.coeffs = coeffs
 
@@ -359,5 +362,6 @@ def roots_of_unity(field: ScalarField, r: int) -> list[Scalar]:
         torsion_gen = -field.zeta if field.degree > 1 else field.scalar(-1)
         gen = torsion_gen ** (m // r)
     roots = [gen**k for k in range(r)]
-    assert len({str(x) for x in roots}) == r
+    if len({str(x) for x in roots}) != r:
+        raise FieldError(f"powers of {gen} are not {r} distinct roots of unity")
     return roots

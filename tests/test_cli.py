@@ -177,16 +177,31 @@ def test_conelift_command(tmp_path, capsys):
     assert "restriction-equals-f: pass" in out
 
 
-def test_exactness_command(tmp_path, capsys):
-    inst = tmp_path / "mf.txt"
-    inst.write_text(
+@pytest.fixture
+def koszul_mf(tmp_path):
+    path = tmp_path / "mf.txt"
+    path.write_text(
         "mfcert instance v1\nkind mf\nfield rationals\nvariables x\n"
         "even e0\nodd o0\n"
         "begin map d\nparity odd\nblock odd<-even\nrow x\nend map\n")
-    assert run(["exactness", inst, "--trials", "5", "--seed", "1",
+    return path
+
+
+def test_exactness_command(koszul_mf, capsys):
+    assert run(["exactness", koszul_mf, "--trials", "5", "--seed", "1",
                 "--zgens", "x"]) == 0
     out = capsys.readouterr().out
     assert "fiberwise-exactness: pass" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_exactness_rejects_fewer_than_one_trial(koszul_mf, capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        run(["exactness", koszul_mf, "--trials", trials, "--zgens", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "need at least one trial" in captured.err
+    assert "result: PASS" not in captured.out
 
 
 def test_zgens_threads_through_to_bundle(twist_file, tmp_path):

@@ -666,3 +666,11 @@ def test_cone_lift_rejects_bad_witness():
     assert not compose(wrong.map, inst.g).is_zero()
     with pytest.raises(Exception):
         cone_lift(g, wrong, inst.h)
+
+
+@pytest.mark.parametrize("gen, cls", [(gen_tau_data, TauData), (gen_ramond_data, RamondData)])
+def test_generator_self_check_failure_raises(monkeypatch, gen, cls):
+    # a real exception, so the guard survives python -O
+    monkeypatch.setattr(cls, "check", lambda self: False)
+    with pytest.raises(InvariantError, match="generated"):
+        gen(3, 2, 1)

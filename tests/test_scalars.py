@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (FieldError, PolyRing, cyclotomic_field, rationals,
-                    roots_of_unity)
+from mfcert import (FieldError, PolyRing, Scalar, cyclotomic_field,
+                    rationals, roots_of_unity)
 
 
 def test_field_of_order_one_is_rationals():
@@ -124,3 +124,9 @@ def test_canonical_form_is_syntactic():
     a = f.zeta * f.zeta * f.zeta * f.zeta  # reduces to 1
     assert a.coeffs == f.one.coeffs
     assert str(f.scalar(Fraction(2, 4))) == "1/2"
+
+
+def test_wrong_length_coefficient_vector_raises():
+    # a real exception, so the guard survives python -O
+    with pytest.raises(FieldError, match="needs 2 coefficients"):
+        Scalar(cyclotomic_field(3), (Fraction(1),))
