@@ -15,7 +15,7 @@ to the product-family differentials entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import CurvedComplex, curvature_check
@@ -37,6 +37,10 @@ class SpinorModule:
     extended: bool
     module: SuperModule
     subsets: tuple[tuple[int, ...], ...]   # full basis order: even sizes, then odd
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.subsets)})
 
     @property
     def generators(self) -> int:
@@ -44,10 +48,6 @@ class SpinorModule:
 
     def index_of(self, subset: tuple[int, ...]) -> int:
         return self._index[subset]
-
-    @property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.subsets)}
 
 
 def spinor_module(ring: PolyRing, base_rank: int, extended: bool = False) -> SpinorModule:
@@ -229,10 +229,5 @@ def spinor_split(s_ext: SpinorModule) -> SpinorSplit:
             row = embs[1][shift_perm[plain_idx[rest]]]
             to_entries[row][col] = one if len(rest) % 2 == 0 else -one
     to_sum = ParityMap(s_ext.module, summand, EVEN, to_entries)
-    from_entries = [[z] * summand.total_rank for _ in range(s_ext.module.total_rank)]
-    for i, row in enumerate(to_entries):
-        for j, p in enumerate(row):
-            if not p.is_zero():
-                from_entries[j][i] = p  # entries are +-1, so the inverse is the transpose
-    from_sum = ParityMap(summand, s_ext.module, EVEN, from_entries)
+    from_sum = to_sum.transposed()   # entries are +-1, so the inverse is the transpose
     return SpinorSplit(s_ext, plain, summand, to_sum, from_sum)

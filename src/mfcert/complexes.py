@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .polynomials import Poly
 from .scalars import FieldError, ScalarField
-from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
+from .supermod import (EVEN, ODD, ParityMap, Row, ShapeError, SuperModule,
                        assemble, direct_sum_modules, parity_unit)
 
 
@@ -65,10 +65,10 @@ class Verdict:
 
 
 def _first_nonzero(m: ParityMap) -> tuple[tuple[int, int], Poly] | None:
-    for i, row in enumerate(m.entries):
-        for j, p in enumerate(row):
-            if not p.is_zero():
-                return (i, j), p
+    for i, row in enumerate(m.rows):
+        if row:
+            j, p = row[0]
+            return (i, j), p
     return None
 
 
@@ -77,6 +77,7 @@ class CurvedComplex:
     module: SuperModule
     d: ParityMap
     curvature: Poly
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def ring(self):
         return self.module.ring
@@ -100,12 +101,20 @@ class CurvedComplex:
             "odd " + " ".join(self.module.odd_labels),
             "curvature " + str(self.curvature),
         ]
-        for row in self.d.entries:
-            lines.append("; ".join(str(p) for p in row))
+        width = self.module.total_rank
+        for row in self.d.rows:
+            cells = ["0"] * width
+            for j, p in row:
+                cells[j] = str(p)
+            lines.append("; ".join(cells))
         return "\n".join(lines)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        """The first 16 hex digits of the SHA-256 of canonical_text(), computed once."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest",
+                               hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16])
+        return self._digest
 
 
 def curvature_check(module: SuperModule, d: ParityMap) -> CurvedComplex:
@@ -115,19 +124,23 @@ def curvature_check(module: SuperModule, d: ParityMap) -> CurvedComplex:
     if d.parity != ODD:
         raise CurvatureError("differential must be odd")
     sq = d.compose(d)
-    n = module.total_rank
-    if n == 0:
-        return CurvedComplex(module, d, module.ring.zero)
-    c = sq.entries[0][0]
-    for i in range(n):
-        for j in range(n):
-            got = sq.entries[i][j]
-            if i == j:
+    zero = module.ring.zero
+    if module.total_rank == 0:
+        return CurvedComplex(module, d, zero)
+    c = sq.entry(0, 0)
+    for i, row in enumerate(sq.rows):
+        # row i of c * id is exactly {i: c}, and empty when c = 0
+        if row == (((i, c),) if c.terms else ()):
+            continue
+        present = dict(row)
+        for j in sorted(present.keys() | {i}):   # report the first bad column
+            got = present.get(j, zero)
+            if j == i:
                 if got != c:
                     raise CurvatureError(
                         f"square is not scalar: diagonal entry ({i},{i}) is {got}, "
                         f"entry (0,0) is {c}", entry=(i, i), value=got)
-            elif not got.is_zero():
+            else:
                 raise CurvatureError(
                     f"square is not scalar: off-diagonal entry ({i},{j}) is {got}",
                     entry=(i, j), value=got)
@@ -237,11 +250,8 @@ def cone(f: ChainMap) -> Cone:
     total = curvature_check(module, d)
     incl = assemble(module, embs, b.module, [list(range(b.module.total_rank))], EVEN,
                     {(0, 0): ParityMap.identity(b.module)})
-    proj_entries = [[module.ring.zero] * module.total_rank
-                    for _ in range(a1.module.total_rank)]
-    for i, pos in enumerate(embs[1]):
-        proj_entries[i][pos] = module.ring.one
-    proj = ParityMap(module, a1.module, EVEN, proj_entries)
+    one = module.ring.one
+    proj = ParityMap._from_rows(module, a1.module, EVEN, (((pos, one),) for pos in embs[1]))
     return Cone(
         total,
         ChainMap.create(b, total, incl),
@@ -288,14 +298,12 @@ def filtration_verify(c: CurvedComplex, f: Filtration) -> Verdict:
     """Check the differential maps every step into itself."""
     if f.complex is not c and f.complex != c:
         raise ShapeError("filtration belongs to a different complex")
+    columns = c.d.transposed().rows
     for j in range(1, len(f.steps) + 1):
         step = f.step_set(j)
         for col in step:
-            for row in range(c.module.total_rank):
-                if row in step:
-                    continue
-                p = c.d.entries[row][col]
-                if not p.is_zero():
+            for row, p in columns[col]:
+                if row not in step:
                     return Verdict(
                         False, "filtration",
                         message=f"step {j} not invariant: basis vector "
@@ -313,8 +321,10 @@ def graded_slice(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, 
     ordered = [i for i in indices if mod.parity(i) == EVEN] + \
               [i for i in indices if mod.parity(i) == ODD]
     sub = SuperModule(mod.ring, even, odd)
-    entries = [[c.d.entries[r][s] for s in ordered] for r in ordered]
-    return sub, ParityMap(sub, sub, ODD, entries)
+    position = {old: new for new, old in enumerate(ordered)}
+    rows = [tuple((position[s], p) for s, p in c.d.rows[r] if s in position)
+            for r in ordered]
+    return sub, ParityMap._from_rows(sub, sub, ODD, rows)
 
 
 def associated_graded(c: CurvedComplex, f: Filtration, j: int) -> CurvedComplex:
@@ -388,24 +398,23 @@ class _IntegerBlock:
     divided by deg.
     """
 
-    def __init__(self, rows: list[tuple[Poly, ...]], field: ScalarField, nvars: int):
+    def __init__(self, rows: list[Row], ncols: int, field: ScalarField, nvars: int):
+        """``rows`` are sparse: nonzero ``(column, Poly)`` pairs, columns below ``ncols``."""
         if any(c.denominator != 1 for c in field.modulus):
             raise FieldError(f"modulus of {field} is not integral")
         self.deg = field.degree
         self.modulus = [int(c) for c in field.modulus[:-1]]
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = ncols
         self.max_exp = [0] * nvars
         self.rows = []
         for row in rows:
             den = 1
-            for p in row:
+            for _, p in row:
                 for coeff in p.terms.values():
                     for q in coeff.coeffs:
                         den = lcm(den, q.denominator)
             entries = []
-            for j, p in enumerate(row):
-                if not p.terms:
-                    continue
+            for j, p in row:
                 terms = []
                 for exps, coeff in p.terms.items():
                     self.max_exp = [max(a, b) for a, b in zip(self.max_exp, exps)]
@@ -479,10 +488,11 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     rng = random.Random(seed)
     half = height // 2
     variables = c.module.ring.variables
-    field, e = c.module.ring.field, c.module.even_rank
-    rows = c.d.entries
-    d_plus = _IntegerBlock([row[:e] for row in rows[e:]], field, len(variables))   # V+ -> V-
-    d_minus = _IntegerBlock([row[e:] for row in rows[:e]], field, len(variables))  # V- -> V+
+    field, e, n = c.module.ring.field, c.module.even_rank, c.module.total_rank
+    rows = c.d.rows   # d is odd: rows e: hold even columns only, rows :e odd ones
+    d_plus = _IntegerBlock(rows[e:], e, field, len(variables))   # V+ -> V-
+    d_minus = _IntegerBlock([tuple((j - e, p) for j, p in row) for row in rows[:e]],
+                            n - e, field, len(variables))        # V- -> V+
     points: list[SamplePoint] = []
     attempts = 0
     limit = max(100, 20 * trials)

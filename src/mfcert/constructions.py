@@ -45,17 +45,11 @@ def _require_lambda(ring: PolyRing):
 
 def _lambda_coefficients(m: ParityMap, limit: int) -> list[ParityMap]:
     """Split a map into lambda-degree coefficient maps; degrees >= limit rejected."""
-    ring = m.source.ring
-    coeffs = []
-    for k in range(limit):
-        entries = [[p.coefficient_in(LAMBDA, k) for p in row] for row in m.entries]
-        coeffs.append(ParityMap(m.source, m.target, m.parity, entries))
-    for row in m.entries:
-        for p in row:
-            if p.degree_in(LAMBDA) >= limit:
-                raise InvariantError(
-                    f"entry {p} has lambda-degree {p.degree_in(LAMBDA)} >= {limit}")
-    return coeffs
+    for _, _, p in m.nonzero():
+        if p.degree_in(LAMBDA) >= limit:
+            raise InvariantError(
+                f"entry {p} has lambda-degree {p.degree_in(LAMBDA)} >= {limit}")
+    return [m.entrywise(lambda p, k=k: p.coefficient_in(LAMBDA, k)) for k in range(limit)]
 
 
 def _scalar_id(module: SuperModule, c: Poly) -> ParityMap:
@@ -84,11 +78,10 @@ class LambdaFamily:
         for k, m in enumerate(self.coefficients):
             if m.parity != ODD or m.source != self.module or m.target != self.module:
                 raise InvariantError(f"coefficient {k} is not an odd endomorphism")
-            for row in m.entries:
-                for p in row:
-                    if p.degree_in(LAMBDA) > 0:
-                        raise InvariantError(
-                            f"coefficient {k} entry {p} must be lambda-free")
+            for _, _, p in m.nonzero():
+                if p.degree_in(LAMBDA) > 0:
+                    raise InvariantError(
+                        f"coefficient {k} entry {p} must be lambda-free")
         ring = self.module.ring
         lam = ring.var(LAMBDA)
         total = self.total_map()
@@ -134,10 +127,9 @@ def _identity_between(source: SuperModule, target: SuperModule) -> ParityMap:
     """The unit matrix between modules of identical shape but different labels."""
     if (source.even_rank, source.odd_rank) != (target.even_rank, target.odd_rank):
         raise ShapeError("identity between modules of different shape")
-    z, one = source.ring.zero, source.ring.one
-    n = source.total_rank
-    return ParityMap(source, target, EVEN,
-                     [[one if i == j else z for j in range(n)] for i in range(n)])
+    one = source.ring.one
+    return ParityMap._from_rows(source, target, EVEN,
+                                (((i, one),) for i in range(source.total_rank)))
 
 
 def _slot_filtration(c: CurvedComplex, embeddings: list[list[int]]) -> Filtration:
@@ -278,17 +270,12 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     d_power: dict[tuple[int, int], ParityMap] = {}
     h_power: dict[tuple[int, int], ParityMap] = {}
     for j in range(r):
-        shifted_entries = [[p * lam**j for p in row] for row in d_lambda.entries]
-        for a in range(n):
-            for b in range(n):
-                p = shifted_entries[a][b]
-                if p.is_zero():
-                    continue
-                quo, rem = p.divmod_in(LAMBDA, f)
-                for k, coeff in rem.coefficients_in(LAMBDA).items():
-                    d_power.setdefault((k, j), {})[(a, b)] = coeff
-                for k, coeff in quo.coefficients_in(LAMBDA).items():
-                    h_power.setdefault((k, j), {})[(a, b)] = coeff
+        for a, b, p in d_lambda.scale(lam**j).nonzero():
+            quo, rem = p.divmod_in(LAMBDA, f)
+            for k, coeff in rem.coefficients_in(LAMBDA).items():
+                d_power.setdefault((k, j), {})[(a, b)] = coeff
+            for k, coeff in quo.coefficients_in(LAMBDA).items():
+                h_power.setdefault((k, j), {})[(a, b)] = coeff
 
     def _blocks_to_map(blockdict) -> ParityMap:
         blocks = {}
@@ -336,9 +323,7 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
 
     targets = []
     for zr in roots:
-        d_at = ParityMap(module, module, ODD,
-                         [[p.substitute(LAMBDA, zr) for p in row]
-                          for row in d_lambda.entries])
+        d_at = d_lambda.entrywise(lambda p: p.substitute(LAMBDA, zr))
         targets.append(curvature_check(module, d_at))
 
     verdicts: dict[str, Verdict] = {}
@@ -764,11 +749,10 @@ def s_lambda_check(tau: TauData) -> SLambdaResult:
     family = None
     if ok:
         action = clifford_action(section, spinor)
-        for row in action.entries:   # degree guard: the family must close below r
-            for p in row:
-                if p.degree_in(LAMBDA) > tau.r - 1:
-                    raise InvariantError(
-                        f"action entry {p} has lambda-degree above r - 1 = {tau.r - 1}")
+        for _, _, p in action.nonzero():   # degree guard: the family must close below r
+            if p.degree_in(LAMBDA) > tau.r - 1:
+                raise InvariantError(
+                    f"action entry {p} has lambda-degree above r - 1 = {tau.r - 1}")
         family = LambdaFamily.from_map(spinor.module, action, tau.r)
     return SLambdaResult(section, at_zero, spinor, verdict, square, family)
 

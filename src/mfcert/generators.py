@@ -16,7 +16,7 @@ from fractions import Fraction
 from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
                             TwistFamily, _multisets, apply_sym_tensor,
                             multinomial)
-from .polynomials import LAMBDA, Poly, PolyRing
+from .polynomials import LAMBDA, Poly, PolyRing, exact_divide
 from .scalars import ScalarField, cyclotomic_field
 from .serialize import (ConeLiftInstance, LambdaInstance, RemarkInstance,
                         TwistInstance)
@@ -169,7 +169,7 @@ def _twist_tensor_piece(rng: random.Random, ring: PolyRing, fs: list[Poly],
         carrier_a = carrier_a * f
     carrier_b = ring.zero - prod
     for f in fs[:split]:
-        carrier_b = exact_quotient(carrier_b, f)
+        carrier_b = exact_divide(carrier_b, f)
     atoms = [(carrier_a, carrier_b)]
     while len(atoms) < n_factors:
         p = _rand_poly(rng, ring, BASE_VARS)
@@ -193,11 +193,6 @@ def _twist_tensor_piece(rng: random.Random, ring: PolyRing, fs: list[Poly],
                 tensor(ParityMap.identity(module), block)
             module, _ = tensor_module(module, block_mod)
     return module, d
-
-
-def exact_quotient(p: Poly, q: Poly) -> Poly:
-    from .polynomials import exact_divide
-    return exact_divide(p, q)
 
 
 def gen_twist_family(r: int, size: int, seed: int,

@@ -18,10 +18,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .complexes import (CurvedComplex, Filtration, SupportLocus, Verdict,
-                        associated_graded, filtration_verify, is_homotopy)
-from .polynomials import PolyRing
+from .complexes import (CurvatureError, CurvedComplex, Filtration,
+                        SupportLocus, Verdict, associated_graded,
+                        filtration_verify, is_homotopy)
+from .polynomials import ContextError, PolyRing
+from .scalars import FieldError
 from .supermod import EVEN, ODD, ParityMap, ShapeError
+
+# What replaying a move with inconsistent data raises: mismatched shapes or
+# rings, a graded slice whose square is not scalar, an unavailable field
+# operation.  Anything else is a fault of the engine and propagates.
+MALFORMED_MOVE_ERRORS = (ShapeError, ContextError, CurvatureError, FieldError)
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,7 @@ def verify(cert: Certificate) -> CertVerdict:
     for idx, (coeff, move) in enumerate(cert.moves):
         try:
             v = move.replay()
-        except Exception as exc:  # malformed move data fails the replay
+        except MALFORMED_MOVE_ERRORS as exc:
             v = Verdict(False, "move", message=f"malformed move data: {exc}")
         move_results.append((idx, v))
         if not v:

@@ -397,6 +397,12 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
 # parsing
 # ---------------------------------------------------------------------------
 
+# The largest total degree the parser expands, in a power or in a product.
+# Generated instance files and their bundles stay at or below degree 8 for
+# r <= 8; the cap is ten times that, so that a hostile entry such as
+# ``(x+y+1)^100000`` or ``x^1000000000`` fails at once instead of expanding.
+MAX_DEGREE = 80
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)|(?P<op>[-+*^()]))"
 )
@@ -450,10 +456,13 @@ class _Parser:
     def term(self) -> Poly:
         p = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.unary()
+                q = self.unary()
+                if p.total_degree() + q.total_degree() > MAX_DEGREE:
+                    raise ParseError(f"product degree exceeds {MAX_DEGREE}", pos)
+                p = p * q
             else:
                 return p
 
@@ -472,13 +481,20 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "num" or "/" in val:
                 raise ParseError("exponent must be a natural number", pos)
+            digits = val.lstrip("0")   # never convert an exponent of thousands of digits
+            if len(digits) > len(str(MAX_DEGREE)) or \
+                    int(val) * max(p.total_degree(), 1) > MAX_DEGREE:
+                raise ParseError(f"power degree exceeds {MAX_DEGREE}", pos)
             return p ** int(val)
         return p
 
     def atom(self) -> Poly:
         kind, val, pos = self.take()
         if kind == "num":
-            return self.ring.const(Fraction(val))
+            try:
+                return self.ring.const(Fraction(val))
+            except ValueError:   # more digits than int() converts
+                raise ParseError(f"number of {len(val)} characters is too long", pos) from None
         if kind == "name":
             if val == "zeta":
                 return self.ring.const(self.ring.field.zeta)

@@ -135,8 +135,12 @@ def _parse_polys(ring: PolyRing, text: str, line_no: int) -> list[Poly]:
     text = text.strip()
     if not text:
         return []
+    zero = ring.zero
     out = []
     for chunk in text.split(","):
+        if chunk.strip() == "0":   # most matrix entries; no need to tokenize
+            out.append(zero)
+            continue
         try:
             out.append(ring.parse(chunk))
         except ParseError as exc:
@@ -176,12 +180,16 @@ def map_lines(name: str, m: ParityMap, header_extra: str = "") -> list[str]:
         cols = _part_indices(m.source, src_part)
         if not rows or not cols:
             continue
-        block = [[m.entries[i][j] for j in cols] for i in rows]
-        if all(p.is_zero() for row in block for p in row):
+        # parity confines the nonzero entries of these rows to these columns
+        block = [m.rows[i] for i in rows]
+        if not any(block):
             continue
         lines.append(f"block {tgt_part}<-{src_part}")
         for row in block:
-            lines.append("row " + ", ".join(str(p) for p in row))
+            cells = ["0"] * len(cols)
+            for j, p in row:
+                cells[j - cols[0]] = str(p)
+            lines.append("row " + ", ".join(cells))
     lines.append("end map")
     return lines
 
@@ -196,7 +204,7 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
         raise FileFormatError("parity must be 'even' or 'odd'", line_no)
     parity = EVEN if parts == ["even"] else ODD
     ring = source.ring
-    entries = [[ring.zero] * source.total_rank for _ in range(target.total_rank)]
+    rows: list[tuple] = [()] * target.total_rank
     while True:
         line_no, line = reader.next()
         if line == "end map":
@@ -212,9 +220,8 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
         if (tgt_part, src_part) not in _BLOCK_TAGS[parity]:
             raise FileFormatError(f"block {tag!r} not allowed for this parity",
                                   line_no)
-        rows = _part_indices(target, tgt_part)
         cols = _part_indices(source, src_part)
-        for i in rows:
+        for i in _part_indices(target, tgt_part):
             line_no, line = reader.next()
             if not line.startswith("row"):
                 raise FileFormatError(f"expected a row line, found {line!r}", line_no)
@@ -222,9 +229,9 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
             if len(values) != len(cols):
                 raise FileFormatError(
                     f"row has {len(values)} entries, expected {len(cols)}", line_no)
-            for j, p in zip(cols, values):
-                entries[i][j] = p
-    return name, ParityMap(source, target, parity, entries)
+            rows[i] = tuple((j, p) for j, p in zip(cols, values) if p.terms)
+    # the block tags admit only entries of this parity, parsed in this ring
+    return name, ParityMap._from_rows(source, target, parity, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +662,7 @@ def _parse_bundle(reader: _Reader) -> Certificate:
             steps = tuple(steps)
             try:
                 filt = Filtration(cx, steps)
-            except Exception as exc:
+            except ShapeError as exc:
                 raise FileFormatError(f"bad filtration steps: {exc}", line_no) from None
             targets, isos = [], []
             for j in range(1, len(steps) + 1):

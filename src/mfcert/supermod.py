@@ -1,22 +1,29 @@
 """Z/2-graded free modules over a polynomial ring and parity-homogeneous maps.
 
 A :class:`SuperModule` is a free module split into even and odd labelled
-summands.  A :class:`ParityMap` stores the full matrix over the combined
-basis (even labels first, then odd); its parity dictates which blocks may be
-nonzero and the constructor enforces that.  Matrices act on column vectors,
-composition is left multiplication, and tensor products follow the Koszul
-sign rule.
+summands.  A :class:`ParityMap` is a matrix over the combined basis (even
+labels first, then odd), stored as immutable sparse rows: each row holds its
+nonzero ``(column, Poly)`` entries in column order and no zeros.  The parity
+of a map dictates which blocks may be nonzero; the constructor checks that
+once per nonzero entry, and every kernel walks the nonzero entries only.
+Matrices act on column vectors, composition is left multiplication, and
+tensor products follow the Koszul sign rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from .polynomials import Poly, PolyRing
 from .scalars import Scalar
 
 EVEN = 0
 ODD = 1
+
+Row = tuple[tuple[int, Poly], ...]   # nonzero (column, entry) pairs, columns ascending
+
+_column = itemgetter(0)
 
 
 class ShapeError(ValueError):
@@ -74,65 +81,160 @@ class SuperModule:
         return f"SuperModule({self.even_rank}|{self.odd_rank})"
 
 
-class ParityMap:
-    """A parity-homogeneous module map, stored as a full polynomial matrix."""
+def _check_frame(source: SuperModule, target: SuperModule, parity: int):
+    if source.ring != target.ring:
+        raise ShapeError("source and target live over different rings")
+    if parity not in (EVEN, ODD):
+        raise ShapeError(f"parity must be 0 or 1, got {parity}")
 
-    __slots__ = ("source", "target", "parity", "entries")
+
+def _accumulate(row: dict[int, Poly], col: int, p: Poly):
+    """row[col] += p, dropping the entry when the sum cancels."""
+    q = row.get(col)
+    if q is None:
+        row[col] = p
+        return
+    s = q + p
+    if s.terms:
+        row[col] = s
+    else:
+        del row[col]
+
+
+def _sorted_row(row: dict[int, Poly]) -> Row:
+    return tuple(sorted(row.items(), key=_column))
+
+
+def _add_rows(r1: Row, r2: Row) -> Row:
+    if not r2:
+        return r1
+    if not r1:
+        return r2
+    acc = dict(r1)
+    for j, p in r2:
+        _accumulate(acc, j, p)
+    return _sorted_row(acc)
+
+
+class ParityMap:
+    """A parity-homogeneous module map, stored as sparse rows of nonzero entries.
+
+    ``rows[i]`` lists the nonzero entries of row ``i`` as ``(column, Poly)``
+    pairs in column order.  The constructor takes the dense matrix (a list of
+    target-rank rows of source-rank polynomials) and checks the ring and the
+    parity of every nonzero entry; ``entries`` gives the dense matrix back.
+    """
+
+    __slots__ = ("source", "target", "parity", "rows", "_dense")
 
     def __init__(self, source: SuperModule, target: SuperModule, parity: int,
                  entries: list[list[Poly]] | tuple[tuple[Poly, ...], ...]):
-        if source.ring != target.ring:
-            raise ShapeError("source and target live over different rings")
-        if parity not in (EVEN, ODD):
-            raise ShapeError(f"parity must be 0 or 1, got {parity}")
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != target.total_rank or any(len(r) != source.total_rank for r in rows):
+        _check_frame(source, target, parity)
+        dense = [tuple(row) for row in entries]
+        if len(dense) != target.total_rank or any(len(r) != source.total_rank for r in dense):
             raise ShapeError(
-                f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
+                f"matrix shape {len(dense)}x{len(dense[0]) if dense else 0} does not match "
                 f"{target.total_rank}x{source.total_rank}"
             )
         ring = source.ring
         e_t, e_s = target.even_rank, source.even_rank
-        for i, row in enumerate(rows):
+        rows = []
+        for i, row in enumerate(dense):
+            sparse = []
             for j, p in enumerate(row):
+                if not p.terms:
+                    continue
                 if p.ring is not ring and p.ring != ring:
                     raise ShapeError(f"entry ({i},{j}) lives in the wrong ring")
-                if p.terms and ((i >= e_t) - (j >= e_s)) % 2 != parity:
+                if ((i >= e_t) - (j >= e_s)) % 2 != parity:
                     raise ShapeError(
                         f"entry ({i},{j})={p} violates parity "
                         f"({'even' if parity == EVEN else 'odd'} map)"
                     )
+                sparse.append((j, p))
+            rows.append(tuple(sparse))
         self.source = source
         self.target = target
         self.parity = parity
-        self.entries = rows
+        self.rows = tuple(rows)
+        self._dense = None
+
+    @classmethod
+    def _from_rows(cls, source: SuperModule, target: SuperModule, parity: int,
+                   rows) -> "ParityMap":
+        """A map from sparse rows that respect parity and hold no zeros.
+
+        The trusted path for kernels and the bundle parser, which produce such
+        rows by construction; nothing is re-checked.
+        """
+        m = object.__new__(cls)
+        m.source = source
+        m.target = target
+        m.parity = parity
+        m.rows = tuple(rows)
+        m._dense = None
+        return m
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def zero(cls, source: SuperModule, target: SuperModule, parity: int) -> "ParityMap":
-        z = source.ring.zero
-        return cls(source, target,
-                   parity, [[z] * source.total_rank for _ in range(target.total_rank)])
+        _check_frame(source, target, parity)
+        return cls._from_rows(source, target, parity, ((),) * target.total_rank)
 
     @classmethod
     def identity(cls, module: SuperModule) -> "ParityMap":
-        z, one = module.ring.zero, module.ring.one
-        n = module.total_rank
-        return cls(module, module, EVEN,
-                   [[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, source, target, parity, entries) -> "ParityMap":
-        return cls(source, target, parity, entries)
+        one = module.ring.one
+        return cls._from_rows(module, module, EVEN,
+                              (((i, one),) for i in range(module.total_rank)))
 
     # -- basic queries ------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        """The dense matrix, zeros included; built on first use and cached."""
+        if self._dense is None:
+            zero = self.source.ring.zero
+            width = self.source.total_rank
+            dense = []
+            for row in self.rows:
+                full = [zero] * width
+                for j, p in row:
+                    full[j] = p
+                dense.append(tuple(full))
+            self._dense = tuple(dense)
+        return self._dense
+
     def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
+        for k, p in self.rows[i]:
+            if k == j:
+                return p
+        return self.source.ring.zero
+
+    def nonzero(self):
+        """Every nonzero entry as ``(row, column, Poly)``, in row-major order."""
+        for i, row in enumerate(self.rows):
+            for j, p in row:
+                yield i, j, p
+
+    def entrywise(self, fn) -> "ParityMap":
+        """The map with every nonzero entry p replaced by fn(p).
+
+        ``fn`` must send 0 to 0 (so zero entries stay zero); entries it sends
+        to 0 are dropped.
+        """
+        rows = []
+        for row in self.rows:
+            out = []
+            for j, p in row:
+                q = fn(p)
+                if q.terms:
+                    out.append((j, q))
+            rows.append(tuple(out))
+        return ParityMap._from_rows(self.source, self.target, self.parity, rows)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(self.rows)
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -141,7 +243,7 @@ class ParityMap:
         if not isinstance(other, ParityMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.parity == other.parity and self.entries == other.entries)
+                and self.parity == other.parity and self.rows == other.rows)
 
     def __repr__(self) -> str:
         tag = "even" if self.parity == EVEN else "odd"
@@ -150,51 +252,47 @@ class ParityMap:
     # -- arithmetic ---------------------------------------------------------------
 
     def compose(self, other: "ParityMap") -> "ParityMap":
-        """self after other (matrix product self * other)."""
+        """self after other (matrix product self * other).
+
+        Row k of ``other`` is visited only for a nonzero entry (i, k) of
+        ``self``, so the work is the number of nonzero pairs, not the number
+        of dense slots.
+        """
         if other.target != self.source:
             raise ShapeError(f"cannot compose: {other.target!r} != {self.source!r}")
         ring = self.source.ring
-        zero = ring.zero
-        n_out, n_mid, n_in = self.target.total_rank, self.source.total_rank, other.source.total_rank
-        acc: list[list[dict | None]] = [[None] * n_in for _ in range(n_out)]
-        for i in range(n_out):
-            row = self.entries[i]
-            arow = acc[i]
-            for k in range(n_mid):
-                a = row[k]
-                if not a.terms:
-                    continue
-                orow = other.entries[k]
-                for j in range(n_in):
-                    b = orow[j]
-                    if not b.terms:
-                        continue
-                    bucket = arow[j]
+        right = other.rows
+        out = []
+        for row in self.rows:
+            acc: dict[int, dict] = {}
+            for k, a in row:
+                a_terms = a.terms.items()
+                for j, b in right[k]:
+                    bucket = acc.get(j)
                     if bucket is None:
-                        bucket = arow[j] = {}
-                    for e1, c1 in a.terms.items():
+                        bucket = acc[j] = {}
+                    for e1, c1 in a_terms:
                         for e2, c2 in b.terms.items():
-                            e = tuple(x + y for x, y in zip(e1, e2))
+                            e = tuple(map(add, e1, e2))
                             s = bucket.get(e)
                             s = c1 * c2 if s is None else s + c1 * c2
                             if s.is_zero():
                                 bucket.pop(e, None)
                             else:
                                 bucket[e] = s
-        out = [[zero if bucket is None else Poly(ring, bucket) for bucket in arow]
-               for arow in acc]
-        return ParityMap(other.source, self.target, (self.parity + other.parity) % 2, out)
+            out.append(tuple((j, Poly(ring, acc[j])) for j in sorted(acc) if acc[j]))
+        return ParityMap._from_rows(other.source, self.target,
+                                    (self.parity + other.parity) % 2, out)
 
     def __add__(self, other: "ParityMap") -> "ParityMap":
         if (other.source, other.target, other.parity) != (self.source, self.target, self.parity):
             raise ShapeError("can only add maps with equal shape and parity")
-        return ParityMap(self.source, self.target, self.parity,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+        return ParityMap._from_rows(self.source, self.target, self.parity,
+                                    map(_add_rows, self.rows, other.rows))
 
     def __neg__(self) -> "ParityMap":
-        return ParityMap(self.source, self.target, self.parity,
-                         [[-p for p in row] for row in self.entries])
+        return ParityMap._from_rows(self.source, self.target, self.parity,
+                                    (tuple((j, -p) for j, p in row) for row in self.rows))
 
     def __sub__(self, other: "ParityMap") -> "ParityMap":
         return self + (-other)
@@ -205,31 +303,29 @@ class ParityMap:
             c = self.source.ring.const(c)
         if not isinstance(c, Poly):
             raise TypeError(f"cannot scale by {c!r}")
-        return ParityMap(self.source, self.target, self.parity,
-                         [[p * c for p in row] for row in self.entries])
+        return self.entrywise(lambda p: p * c)
 
     # -- structural operations ------------------------------------------------------
 
     def transposed(self) -> "ParityMap":
         """The dual map: plain transpose between the (self-dual) modules."""
-        n_out, n_in = self.source.total_rank, self.target.total_rank
-        out = [[self.entries[j][i] for j in range(n_in)] for i in range(n_out)]
-        return ParityMap(self.target, self.source, self.parity, out)
+        cols: list[list] = [[] for _ in range(self.source.total_rank)]
+        for i, row in enumerate(self.rows):
+            for j, p in row:
+                cols[j].append((i, p))
+        return ParityMap._from_rows(self.target, self.source, self.parity, map(tuple, cols))
 
     def shifted(self) -> "ParityMap":
         """The same map between the parity-shifted modules."""
         sp = self.source.shift_perm()
         tp = self.target.shift_perm()
-        z = self.source.ring.zero
-        out = [[z] * self.source.total_rank for _ in range(self.target.total_rank)]
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    out[tp[i]][sp[j]] = p
-        return ParityMap(self.source.shifted(), self.target.shifted(), self.parity, out)
-
-    def evaluate(self, point: dict) -> list[list[Scalar]]:
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        out: list[Row] = [()] * self.target.total_rank
+        for i, row in enumerate(self.rows):
+            # parity keeps a row's entries inside one column block, and the
+            # shift moves each block in order, so columns stay ascending
+            out[tp[i]] = tuple((sp[j], p) for j, p in row)
+        return ParityMap._from_rows(self.source.shifted(), self.target.shifted(),
+                                    self.parity, out)
 
 
 # -----------------------------------------------------------------------------
@@ -255,13 +351,9 @@ def shift(x):
 
 def parity_unit(module: SuperModule) -> ParityMap:
     """The odd map shifted(module) -> module that is the identity underneath."""
-    perm = module.shift_perm()
-    z, one = module.ring.zero, module.ring.one
-    n = module.total_rank
-    out = [[z] * n for _ in range(n)]
-    for old, new in enumerate(perm):
-        out[old][new] = one
-    return ParityMap(module.shifted(), module, ODD, out)
+    one = module.ring.one
+    return ParityMap._from_rows(module.shifted(), module, ODD,
+                                (((new, one),) for new in module.shift_perm()))
 
 
 def direct_sum_modules(parts: list[SuperModule],
@@ -297,18 +389,32 @@ def direct_sum_modules(parts: list[SuperModule],
 def assemble(target: SuperModule, target_embs: list[list[int]],
              source: SuperModule, source_embs: list[list[int]],
              parity: int, blocks: dict[tuple[int, int], ParityMap]) -> ParityMap:
-    """Build a map on direct sums from component maps indexed by (tgt, src) part."""
-    z = source.ring.zero
-    out = [[z] * source.total_rank for _ in range(target.total_rank)]
+    """Build a map on direct sums from component maps indexed by (tgt, src) part.
+
+    Every placed entry is checked against the parity of its new position, so
+    embeddings that do not preserve parity are rejected.
+    """
+    _check_frame(source, target, parity)
+    e_t, e_s = target.even_rank, source.even_rank
+    acc: list[dict[int, Poly]] = [{} for _ in range(target.total_rank)]
     for (ti, si), block in blocks.items():
         temb, semb = target_embs[ti], source_embs[si]
         if block.parity != parity:
             raise ShapeError(f"block ({ti},{si}) has parity {block.parity}, expected {parity}")
-        for i, row in enumerate(block.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    out[temb[i]][semb[j]] = out[temb[i]][semb[j]] + p
-    return ParityMap(source, target, parity, out)
+        if block.source.ring != source.ring:
+            raise ShapeError(f"block ({ti},{si}) lives in the wrong ring")
+        for i, row in enumerate(block.rows):
+            if not row:
+                continue
+            r = temb[i]
+            out = acc[r]
+            for j, p in row:
+                c = semb[j]
+                if ((r >= e_t) - (c >= e_s)) % 2 != parity:
+                    raise ShapeError(f"block ({ti},{si}) entry ({i},{j}) lands at "
+                                     f"({r},{c}), which violates parity")
+                _accumulate(out, c, p)
+    return ParityMap._from_rows(source, target, parity, map(_sorted_row, acc))
 
 
 def direct_sum(f: ParityMap, g: ParityMap,
@@ -350,22 +456,17 @@ def tensor(f: ParityMap, g: ParityMap) -> ParityMap:
     """Tensor product of maps with the Koszul sign (-1)^{|g||v|} on f(v)x g(w)."""
     src, src_idx = tensor_module(f.source, g.source)
     tgt, tgt_idx = tensor_module(f.target, g.target)
-    z = src.ring.zero
-    out = [[z] * src.total_rank for _ in range(tgt.total_rank)]
-    for i in range(f.target.total_rank):
-        for a in range(f.source.total_rank):
-            fe = f.entries[i][a]
-            if fe.is_zero():
-                continue
-            for j in range(g.target.total_rank):
-                for b in range(g.source.total_rank):
-                    ge = g.entries[j][b]
-                    if ge.is_zero():
-                        continue
-                    sign = -1 if (g.parity * f.source.parity(a)) % 2 else 1
+    acc: list[dict[int, Poly]] = [{} for _ in range(tgt.total_rank)]
+    for i, frow in enumerate(f.rows):
+        for a, fe in frow:
+            negate = (g.parity * f.source.parity(a)) % 2
+            for j, grow in enumerate(g.rows):
+                if not grow:
+                    continue
+                out = acc[tgt_idx[(i, j)]]
+                for b, ge in grow:
                     val = fe * ge
-                    if sign < 0:
+                    if negate:
                         val = -val
-                    r, c = tgt_idx[(i, j)], src_idx[(a, b)]
-                    out[r][c] = out[r][c] + val
-    return ParityMap(src, tgt, (f.parity + g.parity) % 2, out)
+                    _accumulate(out, src_idx[(a, b)], val)
+    return ParityMap._from_rows(src, tgt, (f.parity + g.parity) % 2, map(_sorted_row, acc))

@@ -40,15 +40,70 @@ def scalar_rank(matrix: list[list[Scalar]]) -> int:
 class ScalarBlock:
     """Stand-in for ``complexes._IntegerBlock`` built on the reference rank.
 
-    Each entry is evaluated with ``Poly.evaluate`` and the rank is taken by
+    Takes the same sparse rows.  Each entry is evaluated with
+    ``Poly.evaluate`` into a dense matrix whose rank is taken by
     :func:`scalar_rank`, as the sampler did before its integer kernel.
     """
 
-    def __init__(self, rows, field, nvars):
-        self.rows = rows
+    def __init__(self, rows, ncols, field, nvars):
+        self.rows, self.ncols, self.field = rows, ncols, field
 
     def rank(self, values: list[int]) -> int:
-        if not self.rows or not self.rows[0]:
-            return 0
-        point = dict(zip(self.rows[0][0].ring.variables, values))
-        return scalar_rank([[p.evaluate(point) for p in row] for row in self.rows])
+        matrix = [[self.field.zero] * self.ncols for _ in self.rows]
+        for dense, row in zip(matrix, self.rows):
+            for j, p in row:
+                dense[j] = p.evaluate(dict(zip(p.ring.variables, values)))
+        return scalar_rank(matrix)
+
+
+# ---------------------------------------------------------------------------
+# dense polynomial matrices: the reference for the sparse ParityMap kernels
+# ---------------------------------------------------------------------------
+
+def dense_compose(a, b, n_cols, zero):
+    """The product a * b of dense polynomial matrices, b with n_cols columns."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(n_cols):
+            acc = zero
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
+def dense_neg(a):
+    return [[-x for x in row] for row in a]
+
+
+def dense_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def dense_transpose(a, n_cols):
+    return [[row[i] for row in a] for i in range(n_cols)]
+
+
+def dense_shift(a, source, target, zero):
+    """Reindex the entries of a map source -> target for the shifted modules."""
+    sp, tp = source.shift_perm(), target.shift_perm()
+    out = [[zero] * source.total_rank for _ in range(target.total_rank)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            out[tp[i]][sp[j]] = x
+    return out
+
+
+def first_nonzero(a):
+    """Row-major first nonzero entry of a dense matrix, as ((i, j), entry)."""
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if not x.is_zero():
+                return (i, j), x
+    return None

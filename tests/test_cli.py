@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -209,3 +210,17 @@ def test_zgens_threads_through_to_bundle(twist_file, tmp_path):
     assert run(["lemma2", twist_file, "--out", bundle, "--zgens", "x,y"]) == 0
     text = bundle.read_text()
     assert "zgens x, y" in text
+
+
+@pytest.mark.parametrize("entry", ["(x+y+1)^100000", "x^1000000000"])
+def test_huge_power_is_rejected_at_once(tmp_path, capsys, entry):
+    path = tmp_path / "huge.txt"
+    path.write_text(
+        "mfcert instance v1\nkind mf\nfield rationals\nvariables x y\n"
+        "even e0\nodd o0\n"
+        f"begin map d\nparity odd\nblock odd<-even\nrow {entry}\nend map\n")
+    t0 = time.perf_counter()
+    assert run(["check-mf", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "line 10" in err and "degree exceeds" in err

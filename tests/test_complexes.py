@@ -188,8 +188,8 @@ def test_strict_exactness_fails_on_the_locus():
     z = RING.zero
     d = ParityMap(v, v, ODD, [[z, z], [RING.parse("x"), z]])
     c = curvature_check(v, d)
-    blocks = c.d.evaluate({"x": 0, "y": 1, "lambda": 1})
-    assert all(s.is_zero() for row in blocks for s in row)
+    point = {"x": 0, "y": 1, "lambda": 1}
+    assert all(p.evaluate(point).is_zero() for row in c.d.entries for p in row)
     # probabilistic run documented: with enough trials a zero of x appears
     report = strict_exactness_sample(c, SupportLocus((RING.parse("y + 100"),)),
                                      trials=300, seed=0)

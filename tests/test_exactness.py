@@ -62,29 +62,34 @@ def _poly_matrices(draw):
         for row in rows:
             row[j] = ring.zero
     order = draw(st.permutations(range(len(rows))))
-    rows = [tuple(rows[i]) for i in order]
+    rows = [_sparse(rows[i]) for i in order]
     values = [draw(st.integers(-50, 50)), draw(st.integers(-50, 50))]
-    return field, rows, values
+    return field, rows, ncols, values
+
+
+def _sparse(row):
+    """A dense row as the nonzero (column, Poly) pairs the kernel takes."""
+    return tuple((j, p) for j, p in enumerate(row) if not p.is_zero())
 
 
 @settings(max_examples=300, deadline=None)
 @given(_poly_matrices())
 def test_integer_rank_matches_scalar_reference(case):
-    field, rows, values = case
-    expected = ScalarBlock(rows, field, 2).rank(values)
-    assert _IntegerBlock(rows, field, 2).rank(values) == expected
+    field, rows, ncols, values = case
+    expected = ScalarBlock(rows, ncols, field, 2).rank(values)
+    assert _IntegerBlock(rows, ncols, field, 2).rank(values) == expected
 
 
 def test_single_zeta_has_rank_one_over_its_field():
     # over Q the 1x1 matrix [zeta] of Q(zeta_3) expands to a 2x2 block of
     # rank 2; the rank over the field is that divided by the degree
     field, ring = FIELDS[3], RINGS[3]
-    assert _IntegerBlock([(ring.const(field.zeta),)], field, 2).rank([0, 0]) == 1
+    assert _IntegerBlock([_sparse((ring.const(field.zeta),))], 1, field, 2).rank([0, 0]) == 1
 
 
 def test_rank_not_multiple_of_degree_raises(monkeypatch):
     field, ring = FIELDS[4], RINGS[4]
-    block = _IntegerBlock([(ring.one,)], field, 2)
+    block = _IntegerBlock([_sparse((ring.one,))], 1, field, 2)
     monkeypatch.setattr(complexes, "_bareiss_rank", lambda rows: 3)
     with pytest.raises(ArithmeticError, match="not a multiple"):
         block.rank([0, 0])

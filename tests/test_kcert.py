@@ -202,3 +202,46 @@ def test_homotopy_move_must_be_odd():
     even = ParityMap.identity(c.module)
     bad = HomotopyMove(c, even)
     assert not bad.replay()
+
+
+def _lemma1_certificate():
+    inst = gen_lambda_family(2, 1, 5)
+    return lemma1_build(LambdaFamily.from_map(inst.module, inst.d_lambda, inst.r)).certificate
+
+
+def test_malformed_move_data_fails_the_replay():
+    # a homotopy witness on the wrong module raises ShapeError inside replay
+    cert = _lemma1_certificate()
+    c = next(m.complex for _, m in cert.moves if isinstance(m, HomotopyMove))
+    wrong = SuperModule.free(RING, c.module.even_rank + 1, c.module.odd_rank)
+    moves = [(1, HomotopyMove(c, ParityMap.zero(wrong, wrong, ODD)))]
+    v = verify(Certificate(cert.ring, cert.z, [], moves, {}))
+    assert not v
+    assert "malformed move data" in v.move_results[0][1].message
+
+
+def test_engine_errors_in_replay_propagate(monkeypatch):
+    # only the declared error types read as bad input; a bug is not a FAIL verdict
+    cert = _lemma1_certificate()
+
+    def broken(self):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(HomotopyMove, "replay", broken)
+    with pytest.raises(TypeError, match="engine bug"):
+        verify(cert)
+
+
+def test_bundle_filtration_errors_are_narrowed(monkeypatch):
+    from mfcert import serialize
+    text = write_bundle(_lemma1_certificate())
+    steps = next(line for line in text.splitlines() if line.startswith("steps"))
+    with pytest.raises(serialize.FileFormatError, match="bad filtration steps"):
+        parse_bundle(text.replace(steps, "steps 0 | 0 1"))   # not descending
+
+    def broken(*args):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(serialize, "Filtration", broken)
+    with pytest.raises(TypeError, match="engine bug"):
+        parse_bundle(text)

@@ -160,3 +160,21 @@ def test_coefficient_extraction(ring):
     assert p.coefficient_in("lambda", 0) == ring.parse("x - 1")
     assert p.degree_in("lambda") == 2
     assert ring.zero.degree_in("lambda") == -1
+
+
+def test_parser_degree_budget(ring):
+    from mfcert.polynomials import MAX_DEGREE
+    assert ring.parse(f"x^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    assert ring.parse(f"(x*y)^{MAX_DEGREE // 2}").total_degree() == MAX_DEGREE
+    for text, pos in (("(x+y+1)^100000", 8), ("x^1000000000", 2),
+                      (f"(x*y)^{MAX_DEGREE // 2 + 1}", 6), (f"2^{MAX_DEGREE + 1}", 2),
+                      (f"x^{MAX_DEGREE} * y", 5), ("x^" + "1" * 5000, 2)):
+        with pytest.raises(ParseError, match=f"exceeds {MAX_DEGREE}") as err:
+            ring.parse(text)
+        assert err.value.pos == pos
+
+
+def test_overlong_numeral_is_a_parse_error(ring):
+    with pytest.raises(ParseError, match="too long") as err:
+        ring.parse("x + " + "1" * 5000)
+    assert err.value.pos == 4

@@ -1,0 +1,205 @@
+"""Sparse-row ParityMap kernels against the dense reference in ``reference.py``."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, Filtration,
+                    ParityMap, PolyRing, ShapeError, SuperModule,
+                    curvature_check, cyclotomic_field, filtration_verify)
+from mfcert.complexes import _first_nonzero, graded_slice
+from mfcert.scalars import Scalar
+from mfcert.supermod import assemble, direct_sum_modules
+from reference import (dense_add, dense_compose, dense_neg, dense_scale,
+                       dense_shift, dense_transpose, first_nonzero)
+
+FIELDS = {r: cyclotomic_field(r) for r in (1, 3, 4)}
+RINGS = {r: PolyRing(f, ("x", "y")) for r, f in FIELDS.items()}
+MONOMIALS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+
+def _poly(draw, ring):
+    """A sparse polynomial, zero about a third of the time."""
+    field = ring.field
+    component = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2])))
+    scalar = st.tuples(*[component] * field.degree).map(lambda cs: Scalar(field, cs))
+    if draw(st.integers(0, 2)) == 0:
+        return ring.zero
+    support = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=3, unique=True))
+    return ring.poly({m: draw(scalar) for m in support})
+
+
+def _module(draw, ring):
+    return SuperModule.free(ring, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+
+def _dense(draw, ring, source, target, parity):
+    """Dense rows of a map of the given parity, with zero rows and columns forced."""
+    rows = [[_poly(draw, ring)
+             if (target.parity(i) + source.parity(j)) % 2 == parity else ring.zero
+             for j in range(source.total_rank)] for i in range(target.total_rank)]
+    for i in draw(st.sets(st.integers(0, max(target.total_rank - 1, 0)), max_size=2)):
+        if i < len(rows):
+            rows[i] = [ring.zero] * source.total_rank
+    for j in draw(st.sets(st.integers(0, max(source.total_rank - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < len(row):
+                row[j] = ring.zero
+    return rows
+
+
+@st.composite
+def _chains(draw):
+    """A field, three modules A, B, C and dense maps g: A -> B and f: B -> C."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    a, b, c = (_module(draw, ring) for _ in range(3))
+    pf, pg = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return ring, (a, b, c), (pf, _dense(draw, ring, b, c, pf)), (pg, _dense(draw, ring, a, b, pg))
+
+
+def _check_rows(m):
+    """Sparse invariants: one row per target basis vector, columns ascending, no zeros."""
+    assert len(m.rows) == m.target.total_rank
+    for row in m.rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.source.total_rank for j in cols)
+        assert all(not p.is_zero() for _, p in row)
+
+
+def _as_lists(m):
+    return [list(row) for row in m.entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains())
+def test_sparse_kernels_match_dense_reference(case):
+    ring, (a, b, c), (pf, df), (pg, dg) = case
+    f, g = ParityMap(b, c, pf, df), ParityMap(a, b, pg, dg)
+    assert f.entries == tuple(tuple(row) for row in df)   # perfbench reads this view
+    fg = f.compose(g)
+    _check_rows(fg)
+    assert fg.parity == (pf + pg) % 2
+    assert _as_lists(fg) == dense_compose(df, dg, a.total_rank, ring.zero)
+
+    f2 = ParityMap(b, c, pf, _dense_like(df, ring))
+    for got, want in ((f + f2, dense_add(df, f2.entries)),
+                      (f - f2, dense_add(df, dense_neg(f2.entries))),
+                      (-f, dense_neg(df))):
+        _check_rows(got)
+        assert _as_lists(got) == want
+    c_poly = ring.parse("x - 2*y + 1")
+    for scale in (c_poly, ring.zero, 3):
+        got = f.scale(scale)
+        _check_rows(got)
+        factor = scale if not isinstance(scale, int) else ring.const(scale)
+        assert _as_lists(got) == dense_scale(df, factor)
+    t = f.transposed()
+    _check_rows(t)
+    assert (t.source, t.target) == (c, b)
+    assert _as_lists(t) == dense_transpose(df, b.total_rank)
+    s = f.shifted()
+    _check_rows(s)
+    assert _as_lists(s) == dense_shift(df, b, c, ring.zero)
+    assert s.shifted() == f
+
+    # cancellation: f + (-f), and a product whose terms cancel pairwise
+    assert f + (-f) == ParityMap.zero(b, c, pf)
+    assert (f - f).is_zero() and not any((f - f).rows)
+    bb, embs = direct_sum_modules([b, b])
+    doubled = assemble(c, [list(range(c.total_rank))], bb, embs, pf, {(0, 0): f, (0, 1): f})
+    stacked = assemble(bb, embs, a, [list(range(a.total_rank))], pg, {(0, 0): g, (1, 0): -g})
+    cancelled = doubled.compose(stacked)
+    assert cancelled == ParityMap.zero(a, c, (pf + pg) % 2)
+    assert _first_nonzero(cancelled) is None
+    assert _first_nonzero(f) == first_nonzero(df)
+
+
+def _dense_like(rows, ring):
+    """Another matrix on the same support: each nonzero entry minus x, dropped if it cancels."""
+    x = ring.var("x")
+    return [[p - x if not p.is_zero() else p for p in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains(), st.data())
+def test_parity_violating_dense_entry_raises(case, data):
+    ring, (_, b, c), (pf, df), _ = case
+    illegal = [(i, j) for i in range(c.total_rank) for j in range(b.total_rank)
+               if (c.parity(i) + b.parity(j)) % 2 != pf]
+    if not illegal:
+        return
+    i, j = data.draw(st.sampled_from(illegal))
+    df[i][j] = ring.one
+    with pytest.raises(ShapeError, match="violates parity"):
+        ParityMap(b, c, pf, df)
+
+
+@st.composite
+def _endomorphisms(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    v = _module(draw, ring)
+    return ring, v, _dense(draw, ring, v, v, ODD)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_endomorphisms(), st.data())
+def test_curvature_and_filtration_checks_match_dense_reference(case, data):
+    ring, v, dd = case
+    d = ParityMap(v, v, ODD, dd)
+    sq = dense_compose(dd, dd, v.total_rank, ring.zero)
+    n = v.total_rank
+    want = None
+    for i in range(n):
+        for j in range(n):
+            if (i == j and sq[i][j] != sq[0][0]) or (i != j and not sq[i][j].is_zero()):
+                want = want or ((i, j), sq[i][j])
+    if want is None:
+        assert curvature_check(v, d).curvature == (sq[0][0] if n else ring.zero)
+    else:
+        with pytest.raises(CurvatureError) as err:
+            curvature_check(v, d)
+        assert (err.value.entry, err.value.value) == want
+
+    cx = CurvedComplex(v, d, ring.zero)
+    steps, current = [], list(range(n))
+    while current:
+        steps.append(tuple(current))
+        current = data.draw(st.lists(st.sampled_from(current), unique=True,
+                                     min_size=min(1, len(current) - 1),
+                                     max_size=len(current) - 1))
+    filt = Filtration(cx, tuple(steps))
+    verdict = filtration_verify(cx, filt)
+    leak = None
+    for j in range(1, len(steps) + 1):
+        step = filt.step_set(j)
+        for col in step:
+            for row in range(n):
+                if row not in step and not dd[row][col].is_zero():
+                    leak = leak or (row, col)
+    assert verdict.ok == (leak is None)
+    assert verdict.location == leak
+    for j in range(1, len(steps) + 1):
+        sub, piece = graded_slice(cx, filt, j)
+        _check_rows(piece)
+        order = [i for i in filt.slice_indices(j) if v.parity(i) == EVEN] + \
+                [i for i in filt.slice_indices(j) if v.parity(i) == ODD]
+        assert _as_lists(piece) == [[dd[r][s] for s in order] for r in order]
+
+
+def test_cached_digest_is_sha256_of_canonical_text():
+    ring = RINGS[3]
+    v = SuperModule.free(ring, 1, 1)
+    z = ring.zero
+    d = ParityMap(v, v, ODD, [[z, ring.parse("zeta*x")], [ring.parse("y"), z]])
+    cx = curvature_check(v, d)
+    text = cx.canonical_text()
+    assert text.splitlines()[3:] == ["; ".join(str(p) for p in row) for row in d.entries]
+    expected = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert cx.digest() == expected
+    assert cx.digest() == expected          # second call reads the cache
+    assert cx == CurvedComplex(v, d, cx.curvature)   # the cache takes no part in ==
