@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from math import lcm
 
-from .polynomials import Poly
-from .scalars import FieldError, ScalarField
+from .polynomials import Poly, clear_denominators
+from .scalars import ScalarField
 from .supermod import (EVEN, ODD, ParityMap, Row, ShapeError, SuperModule,
                        assemble, direct_sum_modules, parity_unit)
 
@@ -390,36 +389,30 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 class _IntegerBlock:
     """A polynomial matrix over Q(zeta_r), prepared for exact rank at integer points.
 
-    Each row is scaled by the lcm of the denominators in it, so evaluation at
-    an integer point is integer arithmetic and yields a coefficient vector of
-    length deg per entry.  An entry a is expanded into its deg x deg
-    multiplication matrix, the regular representation of Q(zeta_r) over Q
-    (1x1 for Q); the rank over the field is the integer rank of the expansion
-    divided by deg.
+    The block is scaled by the lcm of its coefficient denominators, so
+    evaluation at an integer point is integer arithmetic and yields a
+    coefficient vector of length deg per entry.  An entry a is expanded into
+    its deg x deg multiplication matrix, the regular representation of
+    Q(zeta_r) over Q (1x1 for Q); the rank over the field is the integer rank
+    of the expansion divided by deg.
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: ScalarField, nvars: int):
         """``rows`` are sparse: nonzero ``(column, Poly)`` pairs, columns below ``ncols``."""
-        if any(c.denominator != 1 for c in field.modulus):
-            raise FieldError(f"modulus of {field} is not integral")
+        _, self.modulus, cleared = clear_denominators(
+            field, [p for row in rows for _, p in row])
         self.deg = field.degree
-        self.modulus = [int(c) for c in field.modulus[:-1]]
         self.ncols = ncols
         self.max_exp = [0] * nvars
         self.rows = []
+        polys = iter(cleared)
         for row in rows:
-            den = 1
-            for _, p in row:
-                for coeff in p.terms.values():
-                    for q in coeff.coeffs:
-                        den = lcm(den, q.denominator)
             entries = []
-            for j, p in row:
+            for j, _ in row:
                 terms = []
-                for exps, coeff in p.terms.items():
+                for exps, vector in next(polys):
                     self.max_exp = [max(a, b) for a, b in zip(self.max_exp, exps)]
-                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e),
-                                  [q.numerator * (den // q.denominator) for q in coeff.coeffs]))
+                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e), vector))
                 entries.append((j, terms))
             self.rows.append(entries)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-from .scalars import Scalar, ScalarField
+from .scalars import FieldError, Scalar, ScalarField
 
 LAMBDA = "lambda"  # reserved deformation-parameter variable name
 
@@ -393,6 +394,31 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
     return Poly(p.ring, quo_terms)
 
 
+def clear_denominators(field: ScalarField,
+                       polys: list[Poly]) -> tuple[int, tuple[int, ...], list]:
+    """Integer coefficients for exact arithmetic modulo Phi_r.
+
+    Returns ``(den, modulus, cleared)``: ``den`` is the lcm of every
+    coefficient denominator in ``polys`` (1 when there are none), ``modulus``
+    the coefficients of Phi_r below its leading 1 as ints, low degree first,
+    and ``cleared`` holds, per polynomial, its terms as ``(exponents,
+    vector)`` with ``vector`` the int components of den * coefficient.
+    Raises FieldError when the modulus is not integral, since integer
+    arithmetic modulo Phi_r needs it to be.
+    """
+    if any(c.denominator != 1 for c in field.modulus):
+        raise FieldError(f"modulus of {field} is not integral")
+    den = 1
+    for p in polys:
+        for coeff in p.terms.values():
+            for q in coeff.coeffs:
+                if q.denominator != 1:
+                    den = lcm(den, q.denominator)
+    cleared = [[(exps, [q.numerator * (den // q.denominator) for q in coeff.coeffs])
+                for exps, coeff in p.terms.items()] for p in polys]
+    return den, tuple(int(c) for c in field.modulus[:-1]), cleared
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -402,6 +428,21 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
 # r <= 8; the cap is ten times that, so that a hostile entry such as
 # ``(x+y+1)^100000`` or ``x^1000000000`` fails at once instead of expanding.
 MAX_DEGREE = 80
+
+# The most term products (terms of one factor times terms of the other) the
+# parser spends on one multiplication.  The degree cap alone does not bound
+# work: ``(x+y+z+w+1)^16`` stays under it and takes minutes to expand.
+# Generated instance files and their bundles multiply monomials only, one term
+# product each; with this cap, hostile powers fail within a tenth of a second.
+MAX_TERM_PRODUCTS = 1000
+
+
+def _budgeted_product(p: Poly, q: Poly, pos: int) -> Poly:
+    if len(p.terms) * len(q.terms) > MAX_TERM_PRODUCTS:
+        raise ParseError(f"product of {len(p.terms)} by {len(q.terms)} terms exceeds "
+                         f"{MAX_TERM_PRODUCTS} term products", pos)
+    return p * q
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)|(?P<op>[-+*^()]))"
@@ -462,7 +503,7 @@ class _Parser:
                 q = self.unary()
                 if p.total_degree() + q.total_degree() > MAX_DEGREE:
                     raise ParseError(f"product degree exceeds {MAX_DEGREE}", pos)
-                p = p * q
+                p = _budgeted_product(p, q, pos)
             else:
                 return p
 
@@ -485,7 +526,11 @@ class _Parser:
             if len(digits) > len(str(MAX_DEGREE)) or \
                     int(val) * max(p.total_degree(), 1) > MAX_DEGREE:
                 raise ParseError(f"power degree exceeds {MAX_DEGREE}", pos)
-            return p ** int(val)
+            # step by step, so the budget is checked before each expansion
+            power = self.ring.one
+            for _ in range(int(val)):
+                power = _budgeted_product(power, p, pos)
+            return power
         return p
 
     def atom(self) -> Poly:

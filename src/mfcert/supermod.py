@@ -8,14 +8,27 @@ of a map dictates which blocks may be nonzero; the constructor checks that
 once per nonzero entry, and every kernel walks the nonzero entries only.
 Matrices act on column vectors, composition is left multiplication, and
 tensor products follow the Koszul sign rule.
+
+Composition runs on an integer form of each map, built on first use and
+cached: one map-wide denominator D (the lcm of all coefficient
+denominators), and per nonzero entry the terms of D * entry as ``(key, n)``
+pairs with n an int.  A key packs the exponents of a monomial into 16-bit
+slots, above a lowest slot that holds the power of zeta n multiplies (always
+0 over Q), so a monomial product is one integer add (the packed exponent
+vectors of Monagan and Pearce) and Q and Q(zeta_r) share one kernel.  Zeta
+powers of deg(Phi_r) and up are folded back by the monic integral Phi_r at
+the end of each output row, and each output coefficient is built once, over
+the denominator D_left * D_right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter
+from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
-from .polynomials import Poly, PolyRing
+from .polynomials import Poly, PolyRing, clear_denominators
 from .scalars import Scalar
 
 EVEN = 0
@@ -24,6 +37,13 @@ ODD = 1
 Row = tuple[tuple[int, Poly], ...]   # nonzero (column, entry) pairs, columns ascending
 
 _column = itemgetter(0)
+
+# Packed monomial keys (see ParityMap._integer_form): one slot per variable
+# above a lowest slot for the power of zeta.  A product adds two keys, so no
+# slot may carry into the next one: every exponent stays below half a slot.
+_SLOT_BITS = 16
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_SLOT_HALF = 1 << (_SLOT_BITS - 1)
 
 
 class ShapeError(ValueError):
@@ -105,6 +125,45 @@ def _sorted_row(row: dict[int, Poly]) -> Row:
     return tuple(sorted(row.items(), key=_column))
 
 
+def _pack(exps: tuple[int, ...]) -> int:
+    """The key of a monomial, with the zeta slot empty."""
+    key = 0
+    for e in reversed(exps):
+        if e >= _SLOT_HALF:
+            raise OverflowError(f"exponent {e} does not fit a {_SLOT_BITS}-bit slot "
+                                f"with room for a product")
+        key = (key | e) << _SLOT_BITS
+    return key
+
+
+def _unpack(mono: int, nvars: int) -> tuple[int, ...]:
+    """The exponents of a key shifted past its zeta slot."""
+    exps = []
+    for _ in range(nvars):
+        exps.append(mono & _SLOT_MASK)
+        mono >>= _SLOT_BITS
+    return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def _zeta_folds(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """t^deg, ..., t^(2 deg - 2) reduced modulo the monic integral Phi_r.
+
+    ``modulus`` holds the coefficients of Phi_r below its leading 1; entry
+    z - deg of the result is the coefficient vector of t^z, low degree first.
+    These are the zeta powers a product of two reduced coefficients reaches.
+    """
+    deg = len(modulus)
+    folds = []
+    power = [0] * (deg - 1) + [1]          # t^(deg-1)
+    for _ in range(deg - 1):
+        top = power[-1]                    # t * power, then t^deg = -sum m_i t^i
+        power = [0] + power[:-1]
+        power = [x - top * m for x, m in zip(power, modulus)]
+        folds.append(tuple(power))
+    return tuple(folds)
+
+
 def _add_rows(r1: Row, r2: Row) -> Row:
     if not r2:
         return r1
@@ -125,7 +184,7 @@ class ParityMap:
     parity of every nonzero entry; ``entries`` gives the dense matrix back.
     """
 
-    __slots__ = ("source", "target", "parity", "rows", "_dense")
+    __slots__ = ("source", "target", "parity", "rows", "_dense", "_ints")
 
     def __init__(self, source: SuperModule, target: SuperModule, parity: int,
                  entries: list[list[Poly]] | tuple[tuple[Poly, ...], ...]):
@@ -158,6 +217,7 @@ class ParityMap:
         self.parity = parity
         self.rows = tuple(rows)
         self._dense = None
+        self._ints = None
 
     @classmethod
     def _from_rows(cls, source: SuperModule, target: SuperModule, parity: int,
@@ -173,6 +233,7 @@ class ParityMap:
         m.parity = parity
         m.rows = tuple(rows)
         m._dense = None
+        m._ints = None
         return m
 
     # -- constructors -----------------------------------------------------------
@@ -252,37 +313,104 @@ class ParityMap:
     # -- arithmetic ---------------------------------------------------------------
 
     def compose(self, other: "ParityMap") -> "ParityMap":
-        """self after other (matrix product self * other).
+        """self after other (matrix product self * other), in integer arithmetic.
 
         Row k of ``other`` is visited only for a nonzero entry (i, k) of
         ``self``, so the work is the number of nonzero pairs, not the number
-        of dense slots.
+        of dense slots.  Each term product is one int multiply and one key
+        add on the integer forms of the two maps; zeta powers of deg and up
+        are folded back by Phi_r at the end of each row, and every output
+        coefficient is built once, over the denominator D_self * D_other.
         """
         if other.target != self.source:
             raise ShapeError(f"cannot compose: {other.target!r} != {self.source!r}")
         ring = self.source.ring
-        right = other.rows
+        field = ring.field
+        deg = field.degree
+        den_left, modulus, left = self._integer_form()
+        den_right, _, right = other._integer_form()
+        den = den_left * den_right
+        folds = _zeta_folds(modulus)
+        exps_of: dict[int, tuple[int, ...]] = {}     # each key unpacked once
+        scalars: dict[tuple[int, ...], Scalar] = {}   # each coefficient built once
         out = []
-        for row in self.rows:
-            acc: dict[int, dict] = {}
-            for k, a in row:
-                a_terms = a.terms.items()
-                for j, b in right[k]:
+        for row in left:
+            acc: dict[int, dict[int, int]] = {}
+            for k, a_terms in row:
+                for j, b_terms in right[k]:
                     bucket = acc.get(j)
                     if bucket is None:
                         bucket = acc[j] = {}
-                    for e1, c1 in a_terms:
-                        for e2, c2 in b.terms.items():
-                            e = tuple(map(add, e1, e2))
-                            s = bucket.get(e)
-                            s = c1 * c2 if s is None else s + c1 * c2
-                            if s.is_zero():
-                                bucket.pop(e, None)
-                            else:
-                                bucket[e] = s
-            out.append(tuple((j, Poly(ring, acc[j])) for j in sorted(acc) if acc[j]))
+                    get = bucket.get
+                    for ka, ca in a_terms:
+                        for kb, cb in b_terms:
+                            key = ka + kb
+                            bucket[key] = get(key, 0) + ca * cb
+            entries = []
+            for j in sorted(acc):
+                bucket = acc[j]
+                for key, c in list(bucket.items()):
+                    z = key & _SLOT_MASK
+                    if z >= deg and c:
+                        base = key - z
+                        for i, m in enumerate(folds[z - deg]):
+                            if m:
+                                bucket[base + i] = bucket.get(base + i, 0) + c * m
+                        bucket[key] = 0
+                vectors: dict[int, list[int]] = {}
+                for key, c in bucket.items():
+                    if c:
+                        vector = vectors.get(key >> _SLOT_BITS)
+                        if vector is None:
+                            vector = vectors[key >> _SLOT_BITS] = [0] * deg
+                        vector[key & _SLOT_MASK] = c
+                if not vectors:
+                    continue
+                terms = {}
+                for mono, vector in vectors.items():
+                    exps = exps_of.get(mono)
+                    if exps is None:
+                        exps = exps_of[mono] = _unpack(mono, ring.nvars)
+                    vector = tuple(vector)
+                    c = scalars.get(vector)
+                    if c is None:
+                        c = scalars[vector] = Scalar(field, tuple(Fraction(n, den)
+                                                                  for n in vector))
+                    terms[exps] = c
+                entries.append((j, Poly(ring, terms)))
+            out.append(tuple(entries))
         return ParityMap._from_rows(other.source, self.target,
                                     (self.parity + other.parity) % 2, out)
+
+    def _integer_form(self):
+        """``(D, modulus, rows)``: the map over the integers, built once and cached.
+
+        D is the lcm of all coefficient denominators and ``modulus`` the
+        integral Phi_r below its leading 1.  ``rows[i]`` holds the nonzero
+        ``(column, terms)`` pairs of row i, where ``terms`` are ``(key, n)``
+        pairs: n is an int component of D * coefficient, and ``key`` packs
+        the monomial's exponents into ``_SLOT_BITS``-wide slots above a lowest
+        slot holding the power of zeta that n multiplies (always 0 over Q).
+        """
+        if self._ints is None:
+            den, modulus, cleared = clear_denominators(
+                self.source.ring.field, [p for row in self.rows for _, p in row])
+            polys = iter(cleared)
+            keys: dict[tuple[int, ...], int] = {}
+            rows = []
+            for row in self.rows:
+                entries = []
+                for j, _ in row:
+                    terms = []
+                    for exps, vector in next(polys):
+                        mono = keys.get(exps)
+                        if mono is None:
+                            mono = keys[exps] = _pack(exps)
+                        terms.extend((mono + z, n) for z, n in enumerate(vector) if n)
+                    entries.append((j, tuple(terms)))
+                rows.append(tuple(entries))
+            self._ints = (den, modulus, tuple(rows))
+        return self._ints
 
     def __add__(self, other: "ParityMap") -> "ParityMap":
         if (other.source, other.target, other.parity) != (self.source, self.target, self.parity):
@@ -298,8 +426,8 @@ class ParityMap:
         return self + (-other)
 
     def scale(self, c) -> "ParityMap":
-        """Multiply every entry by a polynomial or scalar (an even operation)."""
-        if isinstance(c, (int, Scalar)):
+        """Multiply every entry by a polynomial or an int, Fraction or Scalar (an even operation)."""
+        if isinstance(c, (int, Fraction, Scalar)):
             c = self.source.ring.const(c)
         if not isinstance(c, Poly):
             raise TypeError(f"cannot scale by {c!r}")

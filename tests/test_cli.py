@@ -224,3 +224,17 @@ def test_huge_power_is_rejected_at_once(tmp_path, capsys, entry):
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
     assert "line 10" in err and "degree exceeds" in err
+
+
+@pytest.mark.parametrize("entry", ["(x+y+z+w+1)^16", "(x+y+1)^60"])
+def test_costly_expansion_is_rejected_at_once(tmp_path, capsys, entry):
+    path = tmp_path / "costly.txt"
+    path.write_text(
+        "mfcert instance v1\nkind mf\nfield rationals\nvariables x y z w\n"
+        "even e0\nodd o0\n"
+        f"begin map d\nparity odd\nblock odd<-even\nrow {entry}\nend map\n")
+    t0 = time.perf_counter()
+    assert run(["check-mf", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "line 10" in err and "term products" in err

@@ -174,6 +174,17 @@ def test_parser_degree_budget(ring):
         assert err.value.pos == pos
 
 
+def test_parser_term_budget():
+    from mfcert.polynomials import MAX_TERM_PRODUCTS
+    ring = PolyRing(rationals(), ("x", "y", "z", "w"))
+    assert ring.parse("(x+y+1)^12") == ring.parse("x+y+1") ** 12
+    for text, pos in (("(x+y+z+w+1)^16", 12), ("(x+y+1)^60", 8),
+                      ("(x+y+1)^20*(x+y+1)^20", 10)):
+        with pytest.raises(ParseError, match=f"exceeds {MAX_TERM_PRODUCTS} term products") as err:
+            ring.parse(text)
+        assert err.value.pos == pos
+
+
 def test_overlong_numeral_is_a_parse_error(ring):
     with pytest.raises(ParseError, match="too long") as err:
         ring.parse("x + " + "1" * 5000)

@@ -7,25 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, Filtration,
-                    ParityMap, PolyRing, ShapeError, SuperModule,
-                    curvature_check, cyclotomic_field, filtration_verify)
-from mfcert.complexes import _first_nonzero, graded_slice
-from mfcert.scalars import Scalar
-from mfcert.supermod import assemble, direct_sum_modules
+from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, FieldError,
+                    Filtration, ParityMap, Poly, PolyRing, ShapeError,
+                    SuperModule, curvature_check, cyclotomic_field,
+                    filtration_verify)
+from mfcert.complexes import _first_nonzero, _IntegerBlock, graded_slice
+from mfcert.scalars import Scalar, ScalarField
+from mfcert.supermod import _SLOT_BITS, assemble, direct_sum_modules
 from reference import (dense_add, dense_compose, dense_neg, dense_scale,
                        dense_shift, dense_transpose, first_nonzero)
 
-FIELDS = {r: cyclotomic_field(r) for r in (1, 3, 4)}
-RINGS = {r: PolyRing(f, ("x", "y")) for r, f in FIELDS.items()}
-MONOMIALS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+# Q (also as order 2), fields whose products fold one or several times by
+# Phi_r (orders 3, 4, 5, 8), and Q(zeta_6), whose Phi_6 = t^2 - t + 1 has a
+# negative coefficient.
+FIELDS = {r: cyclotomic_field(r) for r in (1, 2, 3, 4, 5, 6, 8)}
+RINGS = {r: PolyRing(f, ("x", "y", "z")) for r, f in FIELDS.items()}
+MONOMIALS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1),
+             (1, 1, 1), (0, 2, 1), (3, 0, 0)]
 
 
 def _poly(draw, ring):
     """A sparse polynomial, zero about a third of the time."""
     field = ring.field
     component = st.one_of(st.just(Fraction(0)), st.builds(
-        Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2])))
+        Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3, 6])))
     scalar = st.tuples(*[component] * field.degree).map(lambda cs: Scalar(field, cs))
     if draw(st.integers(0, 2)) == 0:
         return ring.zero
@@ -93,10 +98,10 @@ def test_sparse_kernels_match_dense_reference(case):
         _check_rows(got)
         assert _as_lists(got) == want
     c_poly = ring.parse("x - 2*y + 1")
-    for scale in (c_poly, ring.zero, 3):
+    for scale in (c_poly, ring.zero, 3, Fraction(-1, 2), ring.field.zeta):
         got = f.scale(scale)
         _check_rows(got)
-        factor = scale if not isinstance(scale, int) else ring.const(scale)
+        factor = scale if isinstance(scale, Poly) else ring.const(scale)
         assert _as_lists(got) == dense_scale(df, factor)
     t = f.transposed()
     _check_rows(t)
@@ -189,6 +194,71 @@ def test_curvature_and_filtration_checks_match_dense_reference(case, data):
         order = [i for i in filt.slice_indices(j) if v.parity(i) == EVEN] + \
                 [i for i in filt.slice_indices(j) if v.parity(i) == ODD]
         assert _as_lists(piece) == [[dd[r][s] for s in order] for r in order]
+
+
+@pytest.mark.parametrize("r", sorted(FIELDS))
+def test_top_zeta_powers_fold_back(r):
+    """zeta^(deg-1) * zeta^(deg-1) and a full coefficient vector squared."""
+    ring = RINGS[r]
+    field = ring.field
+    deg = field.degree
+    top = ring.const(field.zeta ** (deg - 1))
+    full = ring.const(Scalar(field, tuple(Fraction(k + 1, 6) for k in range(deg))))
+    x = ring.var("x")
+    v = SuperModule.free(ring, 2, 0)
+    dense = [[top * x, full], [full * x, top]]
+    m = ParityMap(v, v, EVEN, dense)
+    squared = m.compose(m)
+    assert _as_lists(squared) == dense_compose(dense, dense, 2, ring.zero)
+    assert squared.entries[1][1] == ring.const(field.zeta ** (2 * deg - 2)) + full * full * x
+
+
+def test_product_cancelling_to_an_empty_row():
+    ring = RINGS[6]
+    u, v = SuperModule.free(ring, 1, 0), SuperModule.free(ring, 2, 0)
+    zx = ring.parse("zeta*x")
+    f = ParityMap(v, v, EVEN, [[ring.one, ring.one], [ring.one, ring.zero]])
+    g = ParityMap(u, v, EVEN, [[zx], [-zx]])
+    assert f.compose(g).rows == ((), ((0, zx),))
+
+
+def test_exponent_at_the_slot_limit_raises():
+    ring = RINGS[4]
+    limit = 1 << (_SLOT_BITS - 1)
+    v = SuperModule.free(ring, 1, 0)
+    below = ParityMap(v, v, EVEN, [[ring.monomial((limit - 1, 0, 1), ring.field.zeta)]])
+    square = below.compose(below)
+    assert square.entries == ((ring.monomial((2 * limit - 2, 0, 2), -1),),)
+    at = ParityMap(v, v, EVEN, [[ring.monomial((0, limit, 0))]])
+    for left, right in ((at, below), (below, at), (square, below)):
+        with pytest.raises(OverflowError, match="slot"):
+            left.compose(right)
+
+
+def test_compose_on_a_cached_map_repeats():
+    ring = RINGS[5]
+    v = SuperModule.free(ring, 1, 1)
+    z = ring.zero
+    dd = [[z, ring.parse("zeta^3*x + 1/2")], [ring.parse("(1/3)*zeta^2*y - z"), z]]
+    other = [[z, ring.parse("zeta*y")], [ring.parse("x^3"), z]]
+    d, e = ParityMap(v, v, ODD, dd), ParityMap(v, v, ODD, other)
+    first = d.compose(d)
+    assert d.compose(d) == first
+    assert _as_lists(first) == dense_compose(dd, dd, 2, z)
+    assert _as_lists(d.compose(e)) == dense_compose(dd, other, 2, z)
+    assert _as_lists(e.compose(d)) == dense_compose(other, dd, 2, z)
+
+
+def test_non_integral_modulus_raises():
+    field = ScalarField(5)
+    field.modulus = tuple(c / 2 for c in field.modulus)
+    ring = PolyRing(field, ("x",))
+    v = SuperModule.free(ring, 1, 0)
+    m = ParityMap(v, v, EVEN, [[ring.var("x")]])
+    with pytest.raises(FieldError, match="not integral"):
+        m.compose(m)
+    with pytest.raises(FieldError, match="not integral"):
+        _IntegerBlock(m.rows, 1, field, 1)
 
 
 def test_cached_digest_is_sha256_of_canonical_text():
