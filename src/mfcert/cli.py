@@ -21,8 +21,8 @@ from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
 from .kcert import verify as kcert_verify
 from .polynomials import ParseError
 from .scalars import FieldError, ScalarField, cyclotomic_field
-from .serialize import (ConeLiftInstance, FileFormatError, LambdaInstance,
-                        MfInstance, RemarkInstance, TwistInstance,
+from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, FileFormatError,
+                        LambdaInstance, MfInstance, RemarkInstance, TwistInstance,
                         parse_bundle, parse_instance, write_bundle,
                         write_instance)
 from .supermod import EVEN, ParityMap, ShapeError
@@ -68,7 +68,11 @@ def _parse_field_flag(spec: str) -> ScalarField:
     if spec in ("Q", "rationals"):
         return cyclotomic_field(1)
     if spec.startswith("cyclotomic:"):
-        return cyclotomic_field(int(spec.split(":", 1)[1]))
+        order = int(spec.split(":", 1)[1])
+        if order > MAX_FIELD_ORDER:
+            raise argparse.ArgumentTypeError(
+                f"cyclotomic order {order} exceeds {MAX_FIELD_ORDER}")
+        return cyclotomic_field(order)
     raise argparse.ArgumentTypeError(
         f"bad field {spec!r}; expected Q or cyclotomic:<r>")
 

@@ -5,6 +5,19 @@ variable names) and store only nonzero terms, keyed by exponent vectors.
 The term order used for printing and leading terms is graded lexicographic
 in the declared variable order, so string output is canonical and
 ``ring.parse(str(p)) == p`` exactly.
+
+``PolyRing.parse`` reads in two steps.  The term reader (``_read_printed``)
+accepts exactly what ``Poly.__str__`` prints: signed terms joined by `` + ``
+and `` - ``, each a ``*``-product of unsigned numerals ``n`` or ``n/m``,
+variables ``v`` or ``v^k`` and ``zeta`` or ``zeta^k``, optionally led by a
+parenthesised cyclotomic coefficient ``(a + b*zeta^j ...)``.  It memoises
+each signed term's text on the ring, since the entries of one file repeat a
+few distinct terms many times.  It never raises: for any other text, and
+for any text at a budget (an exponent of more than two digits, a degree
+above MAX_DEGREE, a numeral ``Fraction`` rejects, a zero denominator), it
+declines, and the token parser ``_Parser`` reads the text.  That parser
+takes hand-written expressions (parentheses around sums, powers of groups,
+any spacing) and is the only source of ``ParseError`` and its position.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ class ParseError(ValueError):
 class PolyRing:
     """A polynomial ring: scalar field + ordered variable names."""
 
-    __slots__ = ("field", "variables", "_index")
+    __slots__ = ("field", "variables", "_index", "_terms")
 
     def __init__(self, field: ScalarField, variables: tuple[str, ...] | list[str]):
         variables = tuple(variables)
@@ -53,6 +66,8 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
+        # term reader memo: signed term text -> (exponents, coefficient or None)
+        self._terms: dict[str, tuple] = {}
 
     @property
     def nvars(self) -> int:
@@ -122,7 +137,8 @@ class PolyRing:
         return self.poly(terms)
 
     def parse(self, text: str) -> "Poly":
-        return _Parser(self, text).parse()
+        p = _read_printed(self, text.strip())
+        return _Parser(self, text).parse() if p is None else p
 
 
 def _grade_key(exps: tuple[int, ...]):
@@ -444,6 +460,136 @@ def _budgeted_product(p: Poly, q: Poly, pos: int) -> Poly:
     return p * q
 
 
+_NUMERAL = re.compile(r"[0-9]+(?:/[0-9]+)?")
+_EXPONENT = re.compile(r"[0-9]{1,2}")
+
+
+def _read_printed(ring: PolyRing, text: str) -> Poly | None:
+    """Read text in the form ``Poly.__str__`` prints, or return None.
+
+    The text is a sum of signed terms joined by `` + `` and `` - ``; see
+    :func:`_read_term` for one term.  Each signed term is read once per ring
+    and memoised, so the repeated entries of a file cost a lookup each.
+    Anything else, including every text past the parser's budgets, returns
+    None and is left to :class:`_Parser`, the only source of ``ParseError``.
+    """
+    pieces = text.split(" ")
+    if "(" in text:
+        pieces = _join_groups(pieces)
+        if pieces is None:
+            return None
+    if len(pieces) % 2 == 0:
+        return None
+    first = pieces[0]
+    keys = [first if first[:1] == "-" else "+" + first]
+    for i in range(1, len(pieces), 2):
+        op = pieces[i]
+        if op != "+" and op != "-":
+            return None
+        keys.append(op + pieces[i + 1])
+    memo = ring._terms
+    out: dict[tuple[int, ...], Scalar] = {}
+    for key in keys:
+        term = memo.get(key)
+        if term is None:
+            term = _read_term(ring, key)
+            if term is None:
+                return None
+            memo[key] = term
+        exps, c = term
+        if c is None:
+            continue
+        s = out.get(exps)
+        if s is None:
+            out[exps] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del out[exps]
+            else:
+                out[exps] = s
+    return Poly(ring, out)
+
+
+def _join_groups(pieces: list[str]) -> list[str] | None:
+    """Rejoin the space-split pieces of each parenthesised coefficient."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        j = i
+        if "(" in pieces[i]:
+            while ")" not in pieces[j]:
+                j += 1
+                if j == len(pieces):
+                    return None
+        out.append(" ".join(pieces[i:j + 1]))
+        i = j + 1
+    return out
+
+
+def _read_term(ring: PolyRing, key: str) -> tuple | None:
+    """``(exponents, coefficient)`` of one printed term, or None to decline.
+
+    ``key`` is a sign, ``+`` or ``-``, and then a ``*``-product of unsigned
+    numerals ``n`` or ``n/m``, variables ``v`` or ``v^k`` and ``zeta`` or
+    ``zeta^k``, optionally led by a parenthesised sum of such terms without
+    variables (a cyclotomic coefficient).  The coefficient is None when the
+    term is zero.  Exponents of more than two digits, degrees above
+    MAX_DEGREE and numerals ``Fraction`` rejects are declined.
+    """
+    body = key[1:]
+    field = ring.field
+    coeff = field.one
+    if body[:1] != "(":
+        factors = body.split("*")
+    else:
+        close = body.find(")")
+        if close < 0 or "(" in body[1:close]:
+            return None
+        group = _read_printed(ring, body[1:close])
+        if group is None or any(any(e) for e in group.terms):
+            return None
+        coeff = group.constant_value()
+        rest = body[close + 1:]
+        if rest[:1] not in ("", "*"):
+            return None
+        factors = rest[1:].split("*") if rest else []
+    exps = [0] * ring.nvars
+    rational = Fraction(1)
+    zeta = degree = 0
+    for factor in factors:
+        base, caret, power = factor.partition("^")
+        k = 1
+        if caret:
+            if not _EXPONENT.fullmatch(power):
+                return None
+            k = int(power)
+            if k > MAX_DEGREE:
+                return None
+        if base == "zeta":
+            zeta += k
+            continue
+        slot = ring._index.get(base)
+        if slot is not None:
+            exps[slot] += k
+            degree += k
+            if degree > MAX_DEGREE:
+                return None
+            continue
+        if caret or not _NUMERAL.fullmatch(base):
+            return None
+        try:
+            rational *= Fraction(base)
+        except (ValueError, ZeroDivisionError):   # too many digits, or n/0
+            return None
+    coeff = coeff * rational
+    if zeta:
+        coeff = coeff * field.zeta ** zeta
+    if key[0] == "-":
+        coeff = -coeff
+    return tuple(exps), None if coeff.is_zero() else coeff
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)|(?P<op>[-+*^()]))"
 )
@@ -540,6 +686,8 @@ class _Parser:
                 return self.ring.const(Fraction(val))
             except ValueError:   # more digits than int() converts
                 raise ParseError(f"number of {len(val)} characters is too long", pos) from None
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val!r}", pos) from None
         if kind == "name":
             if val == "zeta":
                 return self.ring.const(self.ring.field.zeta)

@@ -20,6 +20,12 @@ from .supermod import EVEN, ODD, ParityMap, ShapeError, SuperModule
 MAGIC_INSTANCE = "mfcert instance v1"
 MAGIC_BUNDLE = "mfcert bundle v1"
 
+# The largest cyclotomic order a file or the ``--field`` flag may name.  Tests
+# and generators use orders up to 12; the cap is ten times that, so that a
+# hostile ``field cyclotomic 20011`` line fails at once instead of building
+# the quadratic tables of a field of degree 20010.
+MAX_FIELD_ORDER = 120
+
 
 class FileFormatError(ParseError):
     def __init__(self, message: str, line: int | None = None):
@@ -121,7 +127,11 @@ def _parse_field(parts: list[str], line_no: int) -> ScalarField:
     if parts and parts[0] == "rationals":
         return cyclotomic_field(1)
     if len(parts) == 2 and parts[0] == "cyclotomic":
-        return cyclotomic_field(int(parts[1]))
+        order = int(parts[1])
+        if order > MAX_FIELD_ORDER:
+            raise FileFormatError(f"cyclotomic order {order} exceeds {MAX_FIELD_ORDER}",
+                                  line_no)
+        return cyclotomic_field(order)
     raise FileFormatError(f"bad field spec {' '.join(parts)!r}", line_no)
 
 

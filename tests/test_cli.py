@@ -238,3 +238,62 @@ def test_costly_expansion_is_rejected_at_once(tmp_path, capsys, entry):
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
     assert "line 10" in err and "term products" in err
+
+
+def _first_entry_replaced(text, entry):
+    """The file with the first nonzero entry of its first map row replaced."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("row") and line != "row 0")
+    cells = lines[i][len("row "):].split(", ")
+    k = next(k for k, cell in enumerate(cells) if cell != "0")
+    cells[k] = entry
+    lines[i] = "row " + ", ".join(cells)
+    return "\n".join(lines) + "\n", i + 1
+
+
+@pytest.mark.parametrize("kind", ["instance", "bundle"])
+def test_zero_denominator_exits_2_with_its_line(tmp_path, capsys, kind):
+    inst = tmp_path / "lam.txt"
+    assert run(["gen", "--kind", "lambda-family", "--r", "2", "--size", "2",
+                "--seed", "1", "--out", inst]) == 0
+    path = inst
+    if kind == "bundle":
+        path = tmp_path / "bundle.txt"
+        assert run(["lemma1", inst, "--out", path]) == 0
+    text, line = _first_entry_replaced(path.read_text(), "1/0*lambda")
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(["verify" if kind == "bundle" else "check-mf", path]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and "zero denominator in '1/0'" in err
+
+
+@pytest.mark.parametrize("kind", ["instance", "bundle"])
+def test_huge_field_order_is_rejected_at_once(tmp_path, capsys, kind):
+    inst = tmp_path / "lam.txt"
+    assert run(["gen", "--kind", "lambda-family", "--r", "2", "--size", "2",
+                "--seed", "1", "--out", inst]) == 0
+    path = inst
+    if kind == "bundle":
+        path = tmp_path / "bundle.txt"
+        assert run(["lemma1", inst, "--out", path]) == 0
+    lines = path.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines) if text.startswith("field")) + 1
+    lines[line - 1] = "field cyclotomic 20011"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run(["verify" if kind == "bundle" else "check-mf", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and "exceeds" in err
+
+
+def test_huge_field_order_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "--kind", "lambda-family", "--field", "cyclotomic:20011",
+             "--out", tmp_path / "x.txt"])
+    assert exc.value.code == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()

@@ -1,5 +1,6 @@
 """Polynomial ring semantics, exact division, and the canonical printer."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from mfcert import (ContextError, DivisionError, ParseError, Poly, PolyRing,
                     cyclotomic_field, exact_divide, rationals)
+from mfcert.polynomials import MAX_DEGREE, _Parser, _read_printed
+from mfcert.scalars import Scalar
 
 
 @pytest.fixture
@@ -189,3 +192,112 @@ def test_overlong_numeral_is_a_parse_error(ring):
     with pytest.raises(ParseError, match="too long") as err:
         ring.parse("x + " + "1" * 5000)
     assert err.value.pos == 4
+
+
+# ---------------------------------------------------------------------------
+# the term reader against the token parser
+# ---------------------------------------------------------------------------
+
+# Q (also as order 2) and cyclotomic fields of degree 2, 4 and 2 with a
+# negative coefficient in Phi_6; three variables, as the sparse-map tests use.
+READER_FIELDS = {r: cyclotomic_field(r) for r in (1, 2, 3, 4, 5, 6, 8)}
+READER_VARS = ("x", "y", "lambda")
+
+
+@st.composite
+def _field_polys(draw):
+    """A field and a polynomial over it, with multi-term coefficients."""
+    field = READER_FIELDS[draw(st.sampled_from(sorted(READER_FIELDS)))]
+    ring = PolyRing(field, READER_VARS)
+    component = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6])))
+    scalar = st.tuples(*[component] * field.degree).map(lambda cs: Scalar(field, cs))
+    exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+    terms = draw(st.dictionaries(exponents, scalar, max_size=5))
+    return ring, ring.poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_polys())
+def test_reader_round_trips_printed_text(case):
+    ring, p = case
+    text = str(p)
+    read = _read_printed(ring, text)
+    assert read is not None, text
+    assert read == p
+    assert read == _Parser(ring, text).parse()
+    assert ring.parse(text) == p
+
+
+def _numeral():
+    digits = st.integers(0, 12).map(str)
+    padded = st.tuples(st.sampled_from(["", "0", "00"]), digits).map("".join)
+    denominator = st.sampled_from(["1", "2", "03", "6", "0", "00"])
+    return st.one_of(padded, st.tuples(padded, denominator).map("/".join))
+
+
+def _power(base, top):
+    return st.integers(0, top).map(lambda k: base if k == 1 else f"{base}^{k}")
+
+
+@st.composite
+def _flat_sums(draw):
+    """Flat sums of printed-looking terms: duplicates, cancellation, zeros."""
+    field = READER_FIELDS[draw(st.sampled_from(sorted(READER_FIELDS)))]
+    ring = PolyRing(field, READER_VARS)
+    factor = st.one_of(_numeral(), _power("zeta", 2 * field.degree + 2),
+                       *[_power(v, 4) for v in READER_VARS])
+    term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+    terms = draw(st.lists(term, min_size=1, max_size=5))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=3))   # repeats
+    signs = draw(st.lists(st.sampled_from(["+", "-"]), min_size=len(terms),
+                          max_size=len(terms)))
+    text = ("-" if signs[0] == "-" else "") + terms[0]
+    for sign, t in zip(signs[1:], terms[1:]):
+        text += f" {sign} {t}"
+    return ring, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flat_sums())
+def test_reader_agrees_with_parser_on_flat_sums(case):
+    ring, text = case
+    read = _read_printed(ring, text)
+    if re.search(r"/0+(?![0-9])", text):
+        assert read is None
+        with pytest.raises(ParseError, match="zero denominator"):
+            _Parser(ring, text).parse()
+        return
+    assert read is not None, text     # every budget is far away here
+    assert read == _Parser(ring, text).parse()
+
+
+@pytest.mark.parametrize("text", [
+    f"x^{MAX_DEGREE + 1}", f"zeta^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE}*y",
+    "x^40*y^40*lambda", "x^100", "x^007", "2^3", "x^2^3", "1" * 5000,
+    "1/0*x", "0/0", "x + 1/0", "", "+x", "1 - -1", "x + -y", "x  + y", "x +y",
+    "(x + 1)*y", "(1 + zeta)^2", "((1 + zeta))*x", "(1 + zeta", "x*(1 + zeta)",
+    "2x", "x + w", "x $ y", "x**y", "x*", "-(x)", "x^y", "x^-1"])
+def test_reader_declines_past_its_grammar_and_budgets(text):
+    ring = PolyRing(cyclotomic_field(3), READER_VARS)
+    assert _read_printed(ring, text) is None
+
+
+def test_zero_denominator_is_a_located_parse_error(ring):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        ring.parse("x + 1/0*lambda")
+    assert err.value.pos == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_polys(), _field_polys())
+def test_reader_memo_is_inert(case, other):
+    ring, p = case
+    text = str(p)
+    first = ring.parse(text)
+    if other[0].field == ring.field:     # fill the memo with another text's terms
+        ring.parse(str(other[1]))
+    size = len(ring._terms)
+    hit = ring.parse(text)
+    assert len(ring._terms) == size      # every term came from the memo
+    assert hit == first == PolyRing(ring.field, READER_VARS).parse(text)
