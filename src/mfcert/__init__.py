@@ -13,9 +13,9 @@ from .complexes import (ChainMap, Cone, CurvatureError, CurvedComplex,
                         Verdict, associated_graded, cone, curvature_check,
                         filtration_verify, is_chain_map, is_homotopy,
                         strict_exactness_sample)
-from .clifford import (OrthoSection, SpinorModule, SpinorSplit, action_complex,
-                       clifford_action, clifford_square, contraction_operator,
-                       spinor_module, spinor_split, wedge_operator)
+from .clifford import (OrthoSection, SpinorModule, SpinorSplit, clifford_action,
+                       clifford_square, contraction_operator, spinor_module,
+                       spinor_split, wedge_operator)
 from .constructions import (InvariantError, LambdaFamily, Lemma1Result,
                             Lemma2Result, RamondData, RemarkResult,
                             SLambdaResult, SXiReduceResult, SymPowerResult,

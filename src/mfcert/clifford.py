@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import CurvedComplex, curvature_check
 from .polynomials import Poly, PolyRing
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
-                       direct_sum_modules)
+                       direct_sum_modules, residual)
 
 
 def _subset_label(subset: tuple[int, ...], base_rank: int) -> str:
@@ -179,18 +178,11 @@ def clifford_square(s: OrthoSection, spinor: SpinorModule) -> Poly:
     """The pairing q(s); asserts action(s)^2 == q(s) * id as a regression guard."""
     q = s.pairing()
     action = clifford_action(s, spinor)
-    sq = action.compose(action)
-    expected = ParityMap.identity(spinor.module).scale(q)
-    if sq != expected:
+    if residual([(1, action, action)], diagonal=(spinor.module, q)) is not None:
         raise AssertionError(
             "clifford action square disagrees with the pairing; "
             "sign convention regression")
     return q
-
-
-def action_complex(s: OrthoSection, spinor: SpinorModule) -> CurvedComplex:
-    """The curved complex carried by the action of a section."""
-    return curvature_check(spinor.module, clifford_action(s, spinor))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 from .polynomials import Poly, clear_denominators
 from .scalars import ScalarField
-from .supermod import (EVEN, ODD, ParityMap, Row, ShapeError, SuperModule,
-                       assemble, direct_sum_modules, parity_unit)
+from .supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, Row, ShapeError,
+                       SuperModule, assemble, direct_sum_modules, parity_unit,
+                       residual, scalar_square)
 
 
 class CurvatureError(ValueError):
@@ -61,14 +62,6 @@ class Verdict:
         where = f" at entry {self.location}" if self.location else ""
         res = f", residual {self.residual}" if self.residual is not None else ""
         return f"{self.kind}: FAIL{where}{res} {self.message}".rstrip()
-
-
-def _first_nonzero(m: ParityMap) -> tuple[tuple[int, int], Poly] | None:
-    for i, row in enumerate(m.rows):
-        if row:
-            j, p = row[0]
-            return (i, j), p
-    return None
 
 
 @dataclass(frozen=True)
@@ -122,27 +115,19 @@ def curvature_check(module: SuperModule, d: ParityMap) -> CurvedComplex:
         raise ShapeError("differential is not an endomorphism of the module")
     if d.parity != ODD:
         raise CurvatureError("differential must be odd")
-    sq = d.compose(d)
-    zero = module.ring.zero
-    if module.total_rank == 0:
-        return CurvedComplex(module, d, zero)
-    c = sq.entry(0, 0)
-    for i, row in enumerate(sq.rows):
-        # row i of c * id is exactly {i: c}, and empty when c = 0
-        if row == (((i, c),) if c.terms else ()):
-            continue
-        present = dict(row)
-        for j in sorted(present.keys() | {i}):   # report the first bad column
-            got = present.get(j, zero)
-            if j == i:
-                if got != c:
-                    raise CurvatureError(
-                        f"square is not scalar: diagonal entry ({i},{i}) is {got}, "
-                        f"entry (0,0) is {c}", entry=(i, i), value=got)
-            else:
-                raise CurvatureError(
-                    f"square is not scalar: off-diagonal entry ({i},{j}) is {got}",
-                    entry=(i, j), value=got)
+    # one pass over d*d: c is entry (0, 0), and the first nonzero entry of
+    # d*d - c*id is the first bad entry of the square
+    c, bad = scalar_square(d)
+    if bad is not None:
+        (i, j), p = bad
+        if i == j:
+            got = p + c
+            raise CurvatureError(
+                f"square is not scalar: diagonal entry ({i},{i}) is {got}, "
+                f"entry (0,0) is {c}", entry=(i, i), value=got)
+        raise CurvatureError(
+            f"square is not scalar: off-diagonal entry ({i},{j}) is {p}",
+            entry=(i, j), value=p)
     return CurvedComplex(module, d, c)
 
 
@@ -172,14 +157,13 @@ def is_chain_map(f: ChainMap) -> Verdict:
         raise ShapeError("chain map shape does not match its complexes")
     if f.source.curvature != f.target.curvature:
         return Verdict(False, "chain-map", message="curvature mismatch")
-    lhs = f.map.compose(f.source.d)
-    rhs = f.target.d.compose(f.map)
-    if f.map.parity == ODD:
-        rhs = -rhs
-    diff = lhs - rhs
-    bad = _first_nonzero(diff)
+    # f.d - (-1)^{|f|} d.f
+    sign = 1 if f.map.parity == ODD else -1
+    bad = residual([(1, f.map, f.source.d), (sign, f.target.d, f.map)])
     if bad is None:
         return Verdict(True, "chain-map")
+    if bad is FRAME_MISMATCH:
+        raise ShapeError("can only add maps with equal shape and parity")
     (i, j), p = bad
     return Verdict(False, "chain-map", location=(i, j), residual=p)
 
@@ -189,11 +173,11 @@ def is_homotopy(source: CurvedComplex, target: CurvedComplex, h: ParityMap,
     """Check d_target.h + h.d_source == lhs - rhs, exactly."""
     if h.parity != ODD:
         return Verdict(False, "homotopy", message="homotopy must be odd")
-    got = target.d.compose(h) + h.compose(source.d)
-    diff = got - (lhs - rhs)
-    bad = _first_nonzero(diff)
+    bad = residual([(1, target.d, h), (1, h, source.d)], [(-1, lhs), (1, rhs)])
     if bad is None:
         return Verdict(True, "homotopy")
+    if bad is FRAME_MISMATCH:
+        raise ShapeError("can only add maps with equal shape and parity")
     (i, j), p = bad
     return Verdict(False, "homotopy", location=(i, j), residual=p)
 

@@ -31,7 +31,7 @@ from .kcert import Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
-                       assemble, direct_sum_modules, parity_unit)
+                       assemble, direct_sum_modules, parity_unit, residual)
 
 
 class InvariantError(ValueError):
@@ -50,10 +50,6 @@ def _lambda_coefficients(m: ParityMap, limit: int) -> list[ParityMap]:
             raise InvariantError(
                 f"entry {p} has lambda-degree {p.degree_in(LAMBDA)} >= {limit}")
     return [m.entrywise(lambda p, k=k: p.coefficient_in(LAMBDA, k)) for k in range(limit)]
-
-
-def _scalar_id(module: SuperModule, c: Poly) -> ParityMap:
-    return ParityMap.identity(module).scale(c)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +81,7 @@ class LambdaFamily:
         ring = self.module.ring
         lam = ring.var(LAMBDA)
         total = self.total_map()
-        sq = total.compose(total)
-        expected = _scalar_id(self.module, lam ** self.r)
-        if sq != expected:
+        if residual([(1, total, total)], diagonal=(self.module, lam ** self.r)) is not None:
             raise InvariantError("family square is not lambda^r * id")
 
     def total_map(self) -> ParityMap:
@@ -153,7 +147,7 @@ def _graded_checks(c: CurvedComplex, filt: Filtration,
         fwd = _identity_between(gr.module, target.module)
         bwd = _identity_between(target.module, gr.module)
         isos.append(IsoPair(fwd, bwd))
-        same = fwd.compose(gr.d) == target.d.compose(fwd)
+        same = residual([(1, fwd, gr.d), (-1, target.d, fwd)]) is None
         verdicts[f"gr{j}"] = Verdict(
             same, f"gr{j}",
             message="" if same else "graded slice differs from its target")
@@ -259,8 +253,7 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
                     f"repeated root {roots[i]}: target polynomial is not squarefree")
     # family shape: coefficients lambda-free of degree <= r-1
     _lambda_coefficients(d_lambda, r)
-    sq = d_lambda.compose(d_lambda)
-    if sq != _scalar_id(module, f):
+    if residual([(1, d_lambda, d_lambda)], diagonal=(module, f)) is not None:
         raise InvariantError("family square is not f(lambda) * id")
 
     w_module, embs = direct_sum_modules([module] * r, [f"b{i}." for i in range(r)])
@@ -312,7 +305,7 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
             for i in range(r):
                 p = cols[k][i]
                 if not p.is_zero():
-                    blocks[(i, k)] = _scalar_id(module, p)
+                    blocks[(i, k)] = ParityMap.identity(module).scale(p)
         return assemble(w_module, embs, w_module, embs, EVEN, blocks)
 
     u = _slot_matrix(t_cols)
@@ -368,7 +361,7 @@ class TwistFamily:
         prod = self.module.ring.one
         for f in self.functions:
             prod = prod * f
-        if self.d.compose(self.d) != _scalar_id(self.module, -prod):
+        if residual([(1, self.d, self.d)], diagonal=(self.module, -prod)) is not None:
             raise InvariantError("square of d is not minus the product of the functions")
 
     @property

@@ -452,11 +452,34 @@ MAX_DEGREE = 80
 # product each; with this cap, hostile powers fail within a tenth of a second.
 MAX_TERM_PRODUCTS = 1000
 
+# The largest coefficient the parser reads or builds, in bits of a numerator
+# or denominator.  Neither budget above bounds it: ``(10^60*x + 1)^80`` stays
+# under both, and its coefficients, or the square of two 3000-digit numerals,
+# have more digits than Python converts to text, so printing them crashed.
+# Over 1,650 generated instance files and bundles (all six kinds, Q and
+# Q(zeta_3), Q(zeta_4)) the largest coefficient has 10 bits; the cap is ten
+# times that.  Every numeral is checked, and so is every product and power
+# step before it is taken: m-bit by n-bit integers multiply to at least
+# m + n - 1 bits, and a step is refused when that exceeds the cap, so a
+# factor with coefficient 1 costs nothing.
+MAX_COEFF_BITS = 100
+
+
+def _scalar_bits(c: Scalar) -> int:
+    """Bits of the largest numerator or denominator among c's components."""
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in c.coeffs)
+
+
+def _coeff_bits(p: Poly) -> int:
+    return max(map(_scalar_bits, p.terms.values()), default=0)
+
 
 def _budgeted_product(p: Poly, q: Poly, pos: int) -> Poly:
     if len(p.terms) * len(q.terms) > MAX_TERM_PRODUCTS:
         raise ParseError(f"product of {len(p.terms)} by {len(q.terms)} terms exceeds "
                          f"{MAX_TERM_PRODUCTS} term products", pos)
+    if _coeff_bits(p) + _coeff_bits(q) - 1 > MAX_COEFF_BITS:
+        raise ParseError(f"product coefficients may exceed {MAX_COEFF_BITS} bits", pos)
     return p * q
 
 
@@ -535,7 +558,8 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
     ``zeta^k``, optionally led by a parenthesised sum of such terms without
     variables (a cyclotomic coefficient).  The coefficient is None when the
     term is zero.  Exponents of more than two digits, degrees above
-    MAX_DEGREE and numerals ``Fraction`` rejects are declined.
+    MAX_DEGREE, numerals ``Fraction`` rejects and terms whose coefficient
+    the parser would find past MAX_COEFF_BITS are declined.
     """
     body = key[1:]
     field = ring.field
@@ -555,8 +579,10 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
             return None
         factors = rest[1:].split("*") if rest else []
     exps = [0] * ring.nvars
-    rational = Fraction(1)
-    zeta = degree = 0
+    degree = 0
+    # the coefficient is multiplied up factor by factor, as the parser does,
+    # and declined where the parser's coefficient-bit check would fail
+    bits = _scalar_bits(coeff) if body[:1] == "(" else 0
     for factor in factors:
         base, caret, power = factor.partition("^")
         k = 1
@@ -566,25 +592,27 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
             k = int(power)
             if k > MAX_DEGREE:
                 return None
+        value = None                     # a variable has coefficient 1
         if base == "zeta":
-            zeta += k
-            continue
-        slot = ring._index.get(base)
-        if slot is not None:
-            exps[slot] += k
+            value = field.zeta ** k
+        elif base in ring._index:
+            exps[ring._index[base]] += k
             degree += k
             if degree > MAX_DEGREE:
                 return None
-            continue
-        if caret or not _NUMERAL.fullmatch(base):
+        elif caret or not _NUMERAL.fullmatch(base):
             return None
-        try:
-            rational *= Fraction(base)
-        except (ValueError, ZeroDivisionError):   # too many digits, or n/0
+        else:
+            try:
+                value = field.one * Fraction(base)
+            except (ValueError, ZeroDivisionError):   # too many digits, or n/0
+                return None
+        size = 1 if value is None else _scalar_bits(value)
+        if size > MAX_COEFF_BITS or (bits and bits + size - 1 > MAX_COEFF_BITS):
             return None
-    coeff = coeff * rational
-    if zeta:
-        coeff = coeff * field.zeta ** zeta
+        if value is not None:
+            coeff = coeff * value
+        bits = _scalar_bits(coeff)
     if key[0] == "-":
         coeff = -coeff
     return tuple(exps), None if coeff.is_zero() else coeff
@@ -683,11 +711,15 @@ class _Parser:
         kind, val, pos = self.take()
         if kind == "num":
             try:
-                return self.ring.const(Fraction(val))
+                numeral = Fraction(val)
             except ValueError:   # more digits than int() converts
                 raise ParseError(f"number of {len(val)} characters is too long", pos) from None
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {val!r}", pos) from None
+            if max(numeral.numerator.bit_length(), numeral.denominator.bit_length()) \
+                    > MAX_COEFF_BITS:
+                raise ParseError(f"number {val[:20]}... exceeds {MAX_COEFF_BITS} bits", pos)
+            return self.ring.const(numeral)
         if kind == "name":
             if val == "zeta":
                 return self.ring.const(self.ring.field.zeta)

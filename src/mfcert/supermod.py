@@ -19,6 +19,12 @@ vectors of Monagan and Pearce) and Q and Q(zeta_r) share one kernel.  Zeta
 powers of deg(Phi_r) and up are folded back by the monic integral Phi_r at
 the end of each output row, and each output coefficient is built once, over
 the denominator D_left * D_right.
+
+Identity checks build no product: :func:`residual` accumulates a signed sum
+of products and maps minus c * id row by row on the same integer forms, with
+the row accumulator and coefficient builder ``compose`` uses, over the lcm
+of the terms' denominators.  It stops at the first nonzero entry and builds
+only that one as a polynomial; c * id is a diagonal term, never a map.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter
 
 from .polynomials import Poly, PolyRing, clear_denominators
@@ -164,6 +171,120 @@ def _zeta_folds(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(folds)
 
 
+def _packed_terms(field, polys: list[Poly]) -> tuple[int, tuple[int, ...], list]:
+    """``(D, modulus, terms)``: per polynomial, D * it as ``(key, n)`` pairs.
+
+    D is the lcm of the denominators of all ``polys``; see
+    :meth:`ParityMap._integer_form` for the keys.
+    """
+    den, modulus, cleared = clear_denominators(field, polys)
+    keys: dict[tuple[int, ...], int] = {}
+    out = []
+    for poly in cleared:
+        terms = []
+        for exps, vector in poly:
+            mono = keys.get(exps)
+            if mono is None:
+                mono = keys[exps] = _pack(exps)
+            terms.extend((mono + z, n) for z, n in enumerate(vector) if n)
+        out.append(tuple(terms))
+    return den, modulus, out
+
+
+# -- the row accumulator and coefficient builder shared by compose and residual --
+#
+# One output row is a dict column -> bucket, and a bucket a dict key -> int:
+# the coefficients of one entry over a common denominator, zeta powers up to
+# 2 deg - 2 until the bucket is folded.
+
+def _add_products(acc: dict, row, right, scale: int):
+    """acc += scale * (row * right): one row of a left integer form times the right one."""
+    for k, a_terms in row:
+        targets = right[k]
+        if not targets:
+            continue
+        if scale != 1:
+            a_terms = [(ka, ca * scale) for ka, ca in a_terms]
+        for j, b_terms in targets:
+            bucket = acc.get(j)
+            if bucket is None:
+                bucket = acc[j] = {}
+            get = bucket.get
+            for ka, ca in a_terms:
+                for kb, cb in b_terms:
+                    key = ka + kb
+                    bucket[key] = get(key, 0) + ca * cb
+
+
+def _add_terms(acc: dict, j: int, terms, scale: int):
+    """acc[j] += scale * terms, for ``(key, n)`` terms of one entry."""
+    bucket = acc.get(j)
+    if bucket is None:
+        bucket = acc[j] = {}
+    get = bucket.get
+    for key, n in terms:
+        bucket[key] = get(key, 0) + n * scale
+
+
+def _fold(bucket: dict[int, int], folds):
+    """Fold zeta powers of deg and up back below deg by Phi_r, in place.
+
+    ``folds`` is ``_zeta_folds(modulus)``, one vector per power from deg to
+    2 deg - 2; it is empty when deg = 1, as over Q, and there is nothing to fold.
+    """
+    deg = len(folds) + 1
+    for key, c in list(bucket.items()):
+        z = key & _SLOT_MASK
+        if z >= deg and c:
+            base = key - z
+            for i, m in enumerate(folds[z - deg]):
+                if m:
+                    bucket[base + i] = bucket.get(base + i, 0) + c * m
+            bucket[key] = 0
+
+
+class _PolyBuilder:
+    """Polynomials from folded buckets over one denominator.
+
+    Each exponent tuple and each coefficient vector is built once per
+    builder, so equal coefficients are shared within one result.
+    """
+
+    __slots__ = ("ring", "den", "exps_of", "scalars")
+
+    def __init__(self, ring: PolyRing, den: int):
+        self.ring = ring
+        self.den = den
+        self.exps_of: dict[int, tuple[int, ...]] = {}
+        self.scalars: dict[tuple[int, ...], Scalar] = {}
+
+    def __call__(self, bucket: dict[int, int]) -> Poly | None:
+        """The polynomial of a folded bucket, or None when every coefficient is 0."""
+        ring, field = self.ring, self.ring.field
+        deg = field.degree
+        vectors: dict[int, list[int]] = {}
+        for key, c in bucket.items():
+            if c:
+                vector = vectors.get(key >> _SLOT_BITS)
+                if vector is None:
+                    vector = vectors[key >> _SLOT_BITS] = [0] * deg
+                vector[key & _SLOT_MASK] = c
+        if not vectors:
+            return None
+        exps_of, scalars, den = self.exps_of, self.scalars, self.den
+        terms = {}
+        for mono, vector in vectors.items():
+            exps = exps_of.get(mono)
+            if exps is None:
+                exps = exps_of[mono] = _unpack(mono, ring.nvars)
+            vector = tuple(vector)
+            c = scalars.get(vector)
+            if c is None:
+                c = scalars[vector] = Scalar(field, tuple(Fraction(n, den) for n in vector))
+            terms[exps] = c
+        return Poly(ring, terms)
+
+
 def _add_rows(r1: Row, r2: Row) -> Row:
     if not r2:
         return r1
@@ -266,12 +387,6 @@ class ParityMap:
             self._dense = tuple(dense)
         return self._dense
 
-    def entry(self, i: int, j: int) -> Poly:
-        for k, p in self.rows[i]:
-            if k == j:
-                return p
-        return self.source.ring.zero
-
     def nonzero(self):
         """Every nonzero entry as ``(row, column, Poly)``, in row-major order."""
         for i, row in enumerate(self.rows):
@@ -325,59 +440,22 @@ class ParityMap:
         if other.target != self.source:
             raise ShapeError(f"cannot compose: {other.target!r} != {self.source!r}")
         ring = self.source.ring
-        field = ring.field
-        deg = field.degree
         den_left, modulus, left = self._integer_form()
         den_right, _, right = other._integer_form()
-        den = den_left * den_right
         folds = _zeta_folds(modulus)
-        exps_of: dict[int, tuple[int, ...]] = {}     # each key unpacked once
-        scalars: dict[tuple[int, ...], Scalar] = {}   # each coefficient built once
+        build = _PolyBuilder(ring, den_left * den_right)
         out = []
         for row in left:
             acc: dict[int, dict[int, int]] = {}
-            for k, a_terms in row:
-                for j, b_terms in right[k]:
-                    bucket = acc.get(j)
-                    if bucket is None:
-                        bucket = acc[j] = {}
-                    get = bucket.get
-                    for ka, ca in a_terms:
-                        for kb, cb in b_terms:
-                            key = ka + kb
-                            bucket[key] = get(key, 0) + ca * cb
+            _add_products(acc, row, right, 1)
             entries = []
             for j in sorted(acc):
                 bucket = acc[j]
-                for key, c in list(bucket.items()):
-                    z = key & _SLOT_MASK
-                    if z >= deg and c:
-                        base = key - z
-                        for i, m in enumerate(folds[z - deg]):
-                            if m:
-                                bucket[base + i] = bucket.get(base + i, 0) + c * m
-                        bucket[key] = 0
-                vectors: dict[int, list[int]] = {}
-                for key, c in bucket.items():
-                    if c:
-                        vector = vectors.get(key >> _SLOT_BITS)
-                        if vector is None:
-                            vector = vectors[key >> _SLOT_BITS] = [0] * deg
-                        vector[key & _SLOT_MASK] = c
-                if not vectors:
-                    continue
-                terms = {}
-                for mono, vector in vectors.items():
-                    exps = exps_of.get(mono)
-                    if exps is None:
-                        exps = exps_of[mono] = _unpack(mono, ring.nvars)
-                    vector = tuple(vector)
-                    c = scalars.get(vector)
-                    if c is None:
-                        c = scalars[vector] = Scalar(field, tuple(Fraction(n, den)
-                                                                  for n in vector))
-                    terms[exps] = c
-                entries.append((j, Poly(ring, terms)))
+                if folds:
+                    _fold(bucket, folds)
+                p = build(bucket)
+                if p is not None:
+                    entries.append((j, p))
             out.append(tuple(entries))
         return ParityMap._from_rows(other.source, self.target,
                                     (self.parity + other.parity) % 2, out)
@@ -393,23 +471,11 @@ class ParityMap:
         slot holding the power of zeta that n multiplies (always 0 over Q).
         """
         if self._ints is None:
-            den, modulus, cleared = clear_denominators(
+            den, modulus, packed = _packed_terms(
                 self.source.ring.field, [p for row in self.rows for _, p in row])
-            polys = iter(cleared)
-            keys: dict[tuple[int, ...], int] = {}
-            rows = []
-            for row in self.rows:
-                entries = []
-                for j, _ in row:
-                    terms = []
-                    for exps, vector in next(polys):
-                        mono = keys.get(exps)
-                        if mono is None:
-                            mono = keys[exps] = _pack(exps)
-                        terms.extend((mono + z, n) for z, n in enumerate(vector) if n)
-                    entries.append((j, tuple(terms)))
-                rows.append(tuple(entries))
-            self._ints = (den, modulus, tuple(rows))
+            terms = iter(packed)
+            rows = tuple(tuple((j, next(terms)) for j, _ in row) for row in self.rows)
+            self._ints = (den, modulus, rows)
         return self._ints
 
     def __add__(self, other: "ParityMap") -> "ParityMap":
@@ -454,6 +520,106 @@ class ParityMap:
             out[tp[i]] = tuple((sp[j], p) for j, p in row)
         return ParityMap._from_rows(self.source.shifted(), self.target.shifted(),
                                     self.parity, out)
+
+
+# -----------------------------------------------------------------------------
+# identity checks: the residual kernel
+# -----------------------------------------------------------------------------
+
+# What residual() returns when its terms do not share one frame (source,
+# target and parity), so that their sum cannot be compared entry by entry.
+FRAME_MISMATCH = (None, None)
+
+
+def residual(products=(), maps=(), diagonal=None):
+    """The first nonzero entry of sum s*A*B + sum s*M - c*id, or None.
+
+    ``products`` holds ``(s, A, B)`` with s = +1 or -1 for the term s * A * B,
+    ``maps`` holds ``(s, M)`` for s * M, and ``diagonal`` is ``(module, c)``
+    for the term -c * id on ``module``, with c a polynomial; no identity map
+    is built.  The sum is accumulated row by row on the cached integer forms
+    of the operands, over the lcm of the terms' denominators, with the row
+    accumulator that :meth:`ParityMap.compose` uses; zeta powers are folded
+    by Phi_r and only the entry returned is built as a polynomial.  The
+    result is ``((i, j), Poly)`` for the first nonzero entry in row-major,
+    column-ascending order.
+
+    A product whose factors do not compose raises ShapeError, as compose
+    does.  When the terms, or the terms and ``module -> module``, differ in
+    source, target or parity, the result is FRAME_MISMATCH.
+    """
+    return _residual(products, maps, diagonal)[1]
+
+
+def scalar_square(d: ParityMap) -> tuple[Poly, object]:
+    """``(c, first nonzero entry of d*d - c*id)`` with c entry (0, 0) of d*d.
+
+    One pass over d*d: c is read off row 0 before row 0 is compared.  ``d``
+    must be an endomorphism; c is 0 on the zero module.
+    """
+    return _residual(((1, d, d),), (), (d.source, None))
+
+
+def _residual(products, maps, diagonal):
+    frames = []
+    for _, a, b in products:
+        if b.target != a.source:
+            raise ShapeError(f"cannot compose: {b.target!r} != {a.source!r}")
+        frames.append((b.source, a.target, (a.parity + b.parity) % 2))
+    frames.extend((m.source, m.target, m.parity) for _, m in maps)
+    c = None
+    if diagonal is not None:
+        module, c = diagonal
+        frames.append((module, module, EVEN))
+    if not frames:
+        return c, None
+    if any(f != frames[0] for f in frames):
+        return c, FRAME_MISMATCH
+    target = frames[0][1]
+    ring = target.ring
+    field = ring.field
+    learn = diagonal is not None and c is None   # c is entry (0, 0) of the sum
+    den, diag = 1, ()
+    if diagonal is not None and not learn:
+        den, modulus, (diag,) = _packed_terms(field, [c])
+    dc = den
+    prods = [(s, a._integer_form(), b._integer_form()) for s, a, b in products]
+    adds = [(s, m._integer_form()) for s, m in maps]
+    # every integer form carries the modulus of the one field
+    for _, (da, modulus, _), (db, _, _) in prods:
+        den = lcm(den, da * db)
+    for _, (dm, modulus, _) in adds:
+        den = lcm(den, dm)
+    folds = _zeta_folds(modulus)
+    diag = [(key, n * (den // dc)) for key, n in diag]
+    prods = [(a_rows, b_rows, s * (den // (da * db)))
+             for s, (da, _, a_rows), (db, _, b_rows) in prods]
+    adds = [(rows, s * (den // dm)) for s, (dm, _, rows) in adds]
+    if learn:
+        c = ring.zero
+    for i in range(target.total_rank):
+        acc: dict[int, dict[int, int]] = {}
+        for left, right, scale in prods:
+            _add_products(acc, left[i], right, scale)
+        for rows, scale in adds:
+            for j, terms in rows[i]:
+                _add_terms(acc, j, terms, scale)
+        if diagonal is not None:
+            if learn and i == 0:
+                bucket = acc.get(0, {})
+                if folds:
+                    _fold(bucket, folds)
+                diag = [(key, n) for key, n in bucket.items() if n]
+                if diag:
+                    c = _PolyBuilder(ring, den)(bucket)
+            _add_terms(acc, i, diag, -1)
+        for j in sorted(acc):
+            bucket = acc[j]
+            if folds:
+                _fold(bucket, folds)
+            if any(bucket.values()):
+                return c, ((i, j), _PolyBuilder(ring, den)(bucket))
+    return c, None
 
 
 # -----------------------------------------------------------------------------

@@ -240,6 +240,26 @@ def test_costly_expansion_is_rejected_at_once(tmp_path, capsys, entry):
     assert "line 10" in err and "term products" in err
 
 
+@pytest.mark.parametrize("rows", [
+    ["(1" + "0" * 60 + "*x + 1)^80", "1"],       # coefficients grow by power steps
+    ["7" * 3000, "3" * 3000],                     # their product would land in d^2
+], ids=["power", "numerals"])
+def test_coefficient_blowup_is_rejected_at_once(tmp_path, capsys, rows):
+    # at the parent both printed a 4300-digit ValueError traceback and exited 1
+    path = tmp_path / "wide.txt"
+    path.write_text(
+        "mfcert instance v1\nkind mf\nfield rationals\nvariables x y\n"
+        "even e0\nodd o0\n"
+        f"begin map d\nparity odd\nblock odd<-even\nrow {rows[0]}\n"
+        f"block even<-odd\nrow {rows[1]}\nend map\n")
+    t0 = time.perf_counter()
+    assert run(["check-mf", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert "line 10" in err and "exceeds 100 bits" in err
+    assert "Traceback" not in err
+
+
 def _first_entry_replaced(text, entry):
     """The file with the first nonzero entry of its first map row replaced."""
     lines = text.splitlines()

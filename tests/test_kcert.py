@@ -245,3 +245,26 @@ def test_bundle_filtration_errors_are_narrowed(monkeypatch):
     monkeypatch.setattr(serialize, "Filtration", broken)
     with pytest.raises(TypeError, match="engine bug"):
         parse_bundle(text)
+
+
+def test_altered_slice_target_fails_the_filtration_move():
+    # the replay gives each graded slice the curvature of the whole complex
+    # instead of squaring it; a target that differs from its slice in one
+    # entry, with its own curvature intact, must still fail the move
+    cert = _lemma1_certificate()
+    coeff, move = cert.moves[0]
+    assert isinstance(move, FiltrationMove)
+    target = move.targets[0]
+    rows = [list(row) for row in target.d.entries]
+    rows[1][0] = rows[1][0] + cert.ring.var("x")
+    altered = curvature_check(target.module,
+                              ParityMap(target.module, target.module, ODD, rows))
+    assert altered.curvature == target.curvature
+    moves = [(coeff, FiltrationMove(move.complex, move.steps,
+                                    [altered, *move.targets[1:]], move.isos)),
+             *cert.moves[1:]]
+    bundle = write_bundle(Certificate(cert.ring, cert.z, cert.claim, moves, {}))
+    v = verify(parse_bundle(bundle))
+    assert not v
+    assert [r.describe() for _, r in v.move_results] == [
+        "filtration-move gr1: FAIL forward map is not a chain map", "homotopy: pass"]

@@ -188,6 +188,24 @@ def test_parser_term_budget():
         assert err.value.pos == pos
 
 
+def test_parser_coefficient_budget():
+    from mfcert.polynomials import MAX_COEFF_BITS
+    ring = PolyRing(cyclotomic_field(3), ("x", "y"))
+    widest = str(2 ** MAX_COEFF_BITS - 1)
+    half = str(2 ** (MAX_COEFF_BITS // 2))          # one bit more than half the budget
+    assert ring.parse(f"{widest}*x") == ring.var("x") * ring.const(int(widest))
+    assert ring.parse(f"1/{widest} + zeta*y") == \
+        ring.const(Fraction(1, int(widest))) + ring.var("y") * ring.const(ring.field.zeta)
+    for text, pos in ((f"x + {2 ** MAX_COEFF_BITS}", 4),          # a numeral
+                      (f"x + 1/{2 ** MAX_COEFF_BITS}", 4),
+                      (f"{half}*{half}", len(half)),               # a product
+                      (f"({half}*x + 1)^2", len(half) + 9)):       # a power step
+        assert _read_printed(ring, text) is None                   # the reader declines
+        with pytest.raises(ParseError, match=f"exceeds? {MAX_COEFF_BITS} bits") as err:
+            ring.parse(text)
+        assert err.value.pos == pos
+
+
 def test_overlong_numeral_is_a_parse_error(ring):
     with pytest.raises(ParseError, match="too long") as err:
         ring.parse("x + " + "1" * 5000)

@@ -11,9 +11,9 @@ from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, FieldError,
                     Filtration, ParityMap, Poly, PolyRing, ShapeError,
                     SuperModule, curvature_check, cyclotomic_field,
                     filtration_verify)
-from mfcert.complexes import _first_nonzero, _IntegerBlock, graded_slice
+from mfcert.complexes import _IntegerBlock, graded_slice
 from mfcert.scalars import Scalar, ScalarField
-from mfcert.supermod import _SLOT_BITS, assemble, direct_sum_modules
+from mfcert.supermod import _SLOT_BITS, assemble, direct_sum_modules, residual
 from reference import (dense_add, dense_compose, dense_neg, dense_scale,
                        dense_shift, dense_transpose, first_nonzero)
 
@@ -120,8 +120,8 @@ def test_sparse_kernels_match_dense_reference(case):
     stacked = assemble(bb, embs, a, [list(range(a.total_rank))], pg, {(0, 0): g, (1, 0): -g})
     cancelled = doubled.compose(stacked)
     assert cancelled == ParityMap.zero(a, c, (pf + pg) % 2)
-    assert _first_nonzero(cancelled) is None
-    assert _first_nonzero(f) == first_nonzero(df)
+    assert residual(maps=[(1, cancelled)]) is None
+    assert residual(maps=[(1, f)]) == first_nonzero(df)
 
 
 def _dense_like(rows, ring):
