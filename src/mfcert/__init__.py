@@ -6,13 +6,12 @@ from .scalars import (FieldError, Scalar, ScalarField, cyclotomic_field,
 from .polynomials import (LAMBDA, ContextError, DivisionError, ParseError,
                           Poly, PolyRing, exact_divide)
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, compose,
-                       direct_sum, direct_sum_modules, dual, parity_unit,
-                       shift, tensor, tensor_module)
+                       direct_sum_modules, dual, parity_unit, shift, tensor,
+                       tensor_module)
 from .complexes import (ChainMap, Cone, CurvatureError, CurvedComplex,
-                        Filtration, Homotopy, SampleError, SupportLocus,
-                        Verdict, associated_graded, cone, curvature_check,
-                        filtration_verify, is_chain_map, is_homotopy,
-                        strict_exactness_sample)
+                        Filtration, SampleError, SupportLocus, Verdict, cone,
+                        curvature_check, filtration_verify, is_chain_map,
+                        is_homotopy, strict_exactness_sample)
 from .clifford import (OrthoSection, SpinorModule, SpinorSplit, clifford_action,
                        clifford_square, contraction_operator, spinor_module,
                        spinor_split, wedge_operator)

@@ -205,8 +205,7 @@ def cmd_lemma2(args) -> int:
     report.add("family-invariant", True)
     result = lemma2_build(family, _zlocus(instance.module.ring, args.zgens))
     _verdict_checks(report, result.verdicts)
-    replay = kcert_verify(result.certificate)
-    report.add("certificate-replay", bool(replay))
+    report.add("certificate-replay", bool(result.replay))
     _write_bundle(result.certificate, args, report)
     return _emit(report, args)
 
@@ -225,8 +224,7 @@ def cmd_remark(args) -> int:
         report.add("family-invariant", False, str(exc))
         return _emit(report, args)
     _verdict_checks(report, result.verdicts)
-    replay = kcert_verify(result.certificate)
-    report.add("certificate-replay", bool(replay))
+    report.add("certificate-replay", bool(result.replay))
     _write_bundle(result.certificate, args, report)
     return _emit(report, args)
 
@@ -258,14 +256,8 @@ def cmd_sxi(args) -> int:
     if not inv:
         return _emit(report, args)
     result = s_xi_reduce(instance, _zlocus(instance.ring, args.zgens))
-    for v in result.coupling_checks:
-        report.add(v.kind, bool(v), "" if v else v.describe())
-    report.add(result.product_check.kind, bool(result.product_check))
-    for v in result.matches:
-        report.add(v.kind, bool(v), "" if v else v.describe())
-    _verdict_checks(report, result.lemma2.verdicts)
-    replay = kcert_verify(result.certificate)
-    report.add("certificate-replay", bool(replay))
+    _verdict_checks(report, result.verdicts)
+    report.add("certificate-replay", bool(result.replay))
     _write_bundle(result.certificate, args, report)
     return _emit(report, args)
 

@@ -52,6 +52,8 @@ class Verdict:
     message: str = ""
     location: tuple[int, int] | None = None
     residual: Poly | None = None
+    # the checks this verdict was read from, in order; the first failing one ends them
+    children: tuple["Verdict", ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -182,27 +184,6 @@ def is_homotopy(source: CurvedComplex, target: CurvedComplex, h: ParityMap,
     return Verdict(False, "homotopy", location=(i, j), residual=p)
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """An odd endomorphism witnessing lhs - rhs = dh + hd on one complex."""
-
-    complex: CurvedComplex
-    h: ParityMap
-    lhs: ParityMap
-    rhs: ParityMap
-
-    @classmethod
-    def null_homotopy(cls, c: CurvedComplex, h: ParityMap) -> "Homotopy":
-        hom = cls(c, h, c.identity_map(), c.zero_map())
-        v = hom.verify()
-        if not v:
-            raise ShapeError(f"not a null homotopy: {v.describe()}")
-        return hom
-
-    def verify(self) -> Verdict:
-        return is_homotopy(self.complex, self.complex, self.h, self.lhs, self.rhs)
-
-
 # -----------------------------------------------------------------------------
 # cones
 # -----------------------------------------------------------------------------
@@ -308,12 +289,6 @@ def graded_slice(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, 
     rows = [tuple((position[s], p) for s, p in c.d.rows[r] if s in position)
             for r in ordered]
     return sub, ParityMap._from_rows(sub, sub, ODD, rows)
-
-
-def associated_graded(c: CurvedComplex, f: Filtration, j: int) -> CurvedComplex:
-    """The induced complex on the j-th slice, lower filtration set to zero."""
-    sub, d = graded_slice(c, f, j)
-    return curvature_check(sub, d)
 
 
 # -----------------------------------------------------------------------------

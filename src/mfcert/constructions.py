@@ -24,10 +24,10 @@ from math import factorial
 
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        clifford_square, spinor_module, spinor_split)
-from .complexes import (ChainMap, CurvedComplex, Filtration, Homotopy,
-                        SupportLocus, Verdict, associated_graded, cone,
-                        curvature_check, filtration_verify, is_homotopy)
-from .kcert import Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair
+from .complexes import (ChainMap, CurvedComplex, Filtration, SupportLocus,
+                        Verdict, cone, graded_slice, is_homotopy)
+from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
+                    IsoMove, IsoPair, compose_certs, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
@@ -98,23 +98,59 @@ class LambdaFamily:
 
     @property
     def d0_complex(self) -> CurvedComplex:
-        return curvature_check(self.module, self.coefficients[0])
+        """(V, d0): flat, as d0^2 is the lambda^0 coefficient of d(lambda)^2 = lambda^r * id."""
+        return CurvedComplex(self.module, self.coefficients[0], self.module.ring.zero)
+
+
+# ---------------------------------------------------------------------------
+# reading report lines off the replay
+# ---------------------------------------------------------------------------
+
+class _Replayed:
+    """A construction whose report lines (``verdicts``) are read off ``replay``.
+
+    The builders only construct: each complex carries the curvature its lemma
+    states, and the one replay of the certificate checks every identity.
+    """
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.replay) and all(self.verdicts.values())
+
+
+def _reached(replay: CertVerdict, verdicts, k: int, name: str) -> Verdict:
+    """``verdicts[k]`` of the replay, or FAIL when the replay stopped before it."""
+    if k < len(verdicts):
+        return verdicts[k]
+    why = "an earlier check of its move failed" if replay.move_results else replay.message
+    return Verdict(False, name, message=f"not replayed: {why}")
+
+
+def _replay_lines(replay: CertVerdict, flat: dict[str, CurvedComplex],
+                  at: int, slices: int) -> dict[str, Verdict]:
+    """The lemma lines: one per complex in ``flat`` from the curvature pass,
+    ``filtration`` and ``gr1``... from the filtration move at index ``at``,
+    and ``homotopy`` from the move after it."""
+    moves = [v for _, v in replay.move_results]
+    lines = {name: replay.curvatures[c.digest()] for name, c in flat.items()}
+    parts = (moves[at].children or (moves[at],)) if moves else ()
+    for k, name in enumerate(["filtration"] + [f"gr{j}" for j in range(1, slices + 1)]):
+        lines[name] = _reached(replay, parts, k, name)
+    lines["homotopy"] = _reached(replay, moves, at + 1, "homotopy")
+    return lines
 
 
 @dataclass
-class Lemma1Result:
+class Lemma1Result(_Replayed):
     family: LambdaFamily
     w: CurvedComplex
     filtration: Filtration
     gr_targets: list[CurvedComplex]
     gr_isos: list[IsoPair]
-    homotopy: Homotopy
+    homotopy: HomotopyMove
     certificate: Certificate
+    replay: CertVerdict
     verdicts: dict[str, Verdict]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def _identity_between(source: SuperModule, target: SuperModule) -> ParityMap:
@@ -136,22 +172,15 @@ def _slot_filtration(c: CurvedComplex, embeddings: list[list[int]]) -> Filtratio
     return Filtration(c, tuple(steps))
 
 
-def _graded_checks(c: CurvedComplex, filt: Filtration,
-                   targets: list[CurvedComplex]) -> tuple[list[IsoPair], dict[str, Verdict]]:
-    """Identity-shaped slice isomorphisms plus their exact verification."""
-    verdicts: dict[str, Verdict] = {}
-    verdicts["filtration"] = filtration_verify(c, filt)
+def _slice_isos(c: CurvedComplex, filt: Filtration,
+                targets: list[CurvedComplex]) -> list[IsoPair]:
+    """Identity-shaped isomorphisms between each graded slice and its target."""
     isos = []
     for j, target in enumerate(targets, start=1):
-        gr = associated_graded(c, filt, j)
-        fwd = _identity_between(gr.module, target.module)
-        bwd = _identity_between(target.module, gr.module)
-        isos.append(IsoPair(fwd, bwd))
-        same = residual([(1, fwd, gr.d), (-1, target.d, fwd)]) is None
-        verdicts[f"gr{j}"] = Verdict(
-            same, f"gr{j}",
-            message="" if same else "graded slice differs from its target")
-    return isos, verdicts
+        sub, _ = graded_slice(c, filt, j)
+        isos.append(IsoPair(_identity_between(sub, target.module),
+                            _identity_between(target.module, sub)))
+    return isos
 
 
 def lemma1_build(family: LambdaFamily,
@@ -174,26 +203,20 @@ def lemma1_build(family: LambdaFamily,
                 h_blocks[(k + j - r, j)] = coeff
     d_w = assemble(w_module, embs, w_module, embs, ODD, d_blocks)
     h = assemble(w_module, embs, w_module, embs, ODD, h_blocks)
-    w = curvature_check(w_module, d_w)
-
-    verdicts: dict[str, Verdict] = {}
-    verdicts["flat"] = Verdict(w.curvature.is_zero(), "flat",
-                               residual=None if w.is_flat() else w.curvature)
+    w = CurvedComplex(w_module, d_w, ring.zero)
     filt = _slot_filtration(w, embs)
     d0 = family.d0_complex
     targets = [d0] * r
-    isos, graded_verdicts = _graded_checks(w, filt, targets)
-    verdicts.update(graded_verdicts)
-    verdicts["homotopy"] = is_homotopy(w, w, h, w.identity_map(), w.zero_map())
-    homotopy = Homotopy(w, h, w.identity_map(), w.zero_map())
-
+    isos = _slice_isos(w, filt, targets)
+    homotopy = HomotopyMove(w, h)
     cert = Certificate.build(
         ring, z,
         claim=[(r, d0)],
-        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)),
-               (+1, HomotopyMove(w, h))],
+        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)), (+1, homotopy)],
         names={d0.digest(): "V.d0", w.digest(): "W"})
-    return Lemma1Result(family, w, filt, targets, isos, homotopy, cert, verdicts)
+    replay = verify(cert)
+    return Lemma1Result(family, w, filt, targets, isos, homotopy, cert, replay,
+                        _replay_lines(replay, {"flat": w}, 0, r))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +224,17 @@ def lemma1_build(family: LambdaFamily,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RemarkResult:
+class RemarkResult(_Replayed):
     complexes: list[CurvedComplex]
     multiplicities: list[int]
     roots: list[Poly]
     w: CurvedComplex
     filtration: Filtration
     gr_isos: list[IsoPair]
-    homotopy: Homotopy
+    homotopy: HomotopyMove
     certificate: Certificate
+    replay: CertVerdict
     verdicts: dict[str, Verdict]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
@@ -312,21 +332,16 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     u_inv = _slot_matrix(tinv_cols)
     d_w = u_inv.compose(d_w_power).compose(u)
     h_w = u_inv.compose(h_w_power).compose(u)
-    w = curvature_check(w_module, d_w)
+    w = CurvedComplex(w_module, d_w, ring.zero)
 
     targets = []
-    for zr in roots:
+    for zr in roots:   # flat: d(z)^2 = f(z) * id = 0 at a root z
         d_at = d_lambda.entrywise(lambda p: p.substitute(LAMBDA, zr))
-        targets.append(curvature_check(module, d_at))
+        targets.append(CurvedComplex(module, d_at, ring.zero))
 
-    verdicts: dict[str, Verdict] = {}
-    verdicts["flat"] = Verdict(w.curvature.is_zero(), "flat",
-                               residual=None if w.is_flat() else w.curvature)
     filt = _slot_filtration(w, embs)
-    isos, graded_verdicts = _graded_checks(w, filt, targets)
-    verdicts.update(graded_verdicts)
-    verdicts["homotopy"] = is_homotopy(w, w, h_w, w.identity_map(), w.zero_map())
-    homotopy = Homotopy(w, h_w, w.identity_map(), w.zero_map())
+    isos = _slice_isos(w, filt, targets)
+    homotopy = HomotopyMove(w, h_w)
 
     names = {w.digest(): "W"}
     for k, t in enumerate(targets):
@@ -334,11 +349,11 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     cert = Certificate.build(
         ring, z,
         claim=[(1, t) for t in targets],
-        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)),
-               (+1, HomotopyMove(w, h_w))],
+        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)), (+1, homotopy)],
         names=names)
+    replay = verify(cert)
     return RemarkResult(targets, [1] * r, list(roots), w, filt, isos, homotopy,
-                        cert, verdicts)
+                        cert, replay, _replay_lines(replay, {"flat": w}, 0, r))
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +385,16 @@ class TwistFamily:
 
 
 @dataclass
-class Lemma2Result:
+class Lemma2Result(_Replayed):
     family: TwistFamily
     differentials: list[CurvedComplex]
     w: CurvedComplex
     filtration: Filtration
     gr_isos: list[IsoPair]
-    homotopy: Homotopy
+    homotopy: HomotopyMove
     certificate: Certificate
+    replay: CertVerdict
     verdicts: dict[str, Verdict]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def _vv_module(module: SuperModule) -> tuple[SuperModule, list[list[int]]]:
@@ -413,7 +425,24 @@ def product_differential(family: TwistFamily, i: int) -> ParityMap:
 def lemma2_build(family: TwistFamily,
                  z: SupportLocus | None = None) -> Lemma2Result:
     """The r flat differentials, their filtered total complex, and its homotopy."""
-    z = z or SupportLocus()
+    parts = _lemma2_parts(family, z or SupportLocus())
+    return _lemma2_result(family, parts, verify(parts[-1]), 0)
+
+
+def _lemma2_result(family: TwistFamily, parts: tuple, replay: CertVerdict,
+                   at: int) -> Lemma2Result:
+    """The lemma2 lines, read off a replay whose filtration move is at ``at``."""
+    d_list, w = parts[0], parts[1]
+    flat = {"flat": w, **{f"d{i}-flat": dc for i, dc in enumerate(d_list, start=1)}}
+    return Lemma2Result(family, *parts, replay,
+                        _replay_lines(replay, flat, at, len(d_list)))
+
+
+def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
+    """(differentials, W, filtration, slice isomorphisms, homotopy, certificate).
+
+    Each d_i is flat: d_i^2 = d^2 + f_1...f_r = 0, and so is the total W.
+    """
     module, fs = family.module, family.functions
     ring = module.ring
     r = family.r
@@ -421,7 +450,7 @@ def lemma2_build(family: TwistFamily,
     unit = parity_unit(module)
     unit_rev = parity_unit(module.shifted())
 
-    d_list = [curvature_check(vv, product_differential(family, i))
+    d_list = [CurvedComplex(vv, product_differential(family, i), ring.zero)
               for i in range(1, r + 1)]
 
     w_module, embs = direct_sum_modules([vv] * r, [f"c{i}." for i in range(1, r + 1)])
@@ -462,7 +491,7 @@ def lemma2_build(family: TwistFamily,
                                                      vv_block())
                                         + vv_block(px=unit_rev.scale(-1)))
     d_w = assemble(w_module, embs, w_module, embs, ODD, d_blocks)
-    w = curvature_check(w_module, d_w)
+    w = CurvedComplex(w_module, d_w, ring.zero)
 
     h_blocks: dict[tuple[int, int], ParityMap] = {}
     for i in range(1, r):
@@ -472,18 +501,9 @@ def lemma2_build(family: TwistFamily,
     h_blocks[(0, r - 1)] = (h_blocks.get((0, r - 1), vv_block())
                             + vv_block(px=unit_rev))
     h = assemble(w_module, embs, w_module, embs, ODD, h_blocks)
-
-    verdicts: dict[str, Verdict] = {}
-    verdicts["flat"] = Verdict(w.curvature.is_zero(), "flat",
-                               residual=None if w.is_flat() else w.curvature)
-    for i, dc in enumerate(d_list, start=1):
-        verdicts[f"d{i}-flat"] = Verdict(dc.curvature.is_zero(), f"d{i}-flat",
-                                         residual=None if dc.is_flat() else dc.curvature)
+    homotopy = HomotopyMove(w, h)
     filt = _slot_filtration(w, embs)
-    isos, graded_verdicts = _graded_checks(w, filt, d_list)
-    verdicts.update(graded_verdicts)
-    verdicts["homotopy"] = is_homotopy(w, w, h, w.identity_map(), w.zero_map())
-    homotopy = Homotopy(w, h, w.identity_map(), w.zero_map())
+    isos = _slice_isos(w, filt, d_list)
 
     names = {w.digest(): "W"}
     for i, dc in enumerate(d_list, start=1):
@@ -491,10 +511,9 @@ def lemma2_build(family: TwistFamily,
     cert = Certificate.build(
         ring, z,
         claim=[(1, dc) for dc in d_list],
-        moves=[(-1, FiltrationMove(w, filt.steps, d_list, isos)),
-               (+1, HomotopyMove(w, h))],
+        moves=[(-1, FiltrationMove(w, filt.steps, d_list, isos)), (+1, homotopy)],
         names=names)
-    return Lemma2Result(family, d_list, w, filt, isos, homotopy, cert, verdicts)
+    return d_list, w, filt, isos, homotopy, cert
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +610,8 @@ def sym_power(two: TwoTermComplex, r: int) -> SymPowerResult:
                 val = c.scalar_mul(e if sign > 0 else -e)
                 entries[row][col] = entries[row][col] + val
     d = ParityMap(module, module, ODD, entries)
-    total = curvature_check(module, d)
+    # flat: the Koszul differential squares to 0, as two wedge insertions anticommute
+    total = CurvedComplex(module, d, ring.zero)
 
     augmentation = None
     if two.unit_slot is not None:
@@ -852,22 +872,20 @@ def s_xi_build(data: RamondData, xi: Scalar) -> OrthoSection:
 
 
 @dataclass
-class SXiReduceResult:
+class SXiReduceResult(_Replayed):
+    """``lemma2`` holds the product-family construction, its lines read off
+    the one replay of the combined ``certificate``; ``verdicts`` holds the
+    coupling, product and match lines, then the lemma2 lines."""
+
     roots: list[Scalar]
     f_list: list[Poly]
     twist: TwistFamily
     lemma2: Lemma2Result
     sections: list[OrthoSection]
-    matches: list[Verdict]
-    coupling_checks: list[Verdict]
-    product_check: Verdict
     iso_certificate: Certificate
     certificate: Certificate
-
-    @property
-    def ok(self) -> bool:
-        return (all(self.matches) and all(self.coupling_checks)
-                and bool(self.product_check) and self.lemma2.ok)
+    replay: CertVerdict
+    verdicts: dict[str, Verdict]
 
 
 def s_xi_reduce(data: RamondData,
@@ -879,7 +897,6 @@ def s_xi_reduce(data: RamondData,
     one differential of the product family built from the linear twists
     f_xi = e1 - xi*e2 on the plain spinor module.
     """
-    from .kcert import compose_certs
     from .scalars import roots_of_unity
 
     z = z or SupportLocus()
@@ -890,7 +907,7 @@ def s_xi_reduce(data: RamondData,
     e2 = data.linear_form(data.e2)
     f_list = [e1 - e2 * ring.const(xi) for xi in roots]
 
-    coupling_checks = []
+    verdicts: dict[str, Verdict] = {}
     for i, xi in enumerate(roots):
         prod = ring.one
         for j, f in enumerate(f_list):
@@ -898,26 +915,27 @@ def s_xi_reduce(data: RamondData,
                 prod = prod * f
         expected = cyclotomic_coupling(ring, e1, e2, r, xi)
         diff = prod - expected
-        coupling_checks.append(Verdict(
+        verdicts[f"coupling-xi{i + 1}"] = Verdict(
             diff.is_zero(), f"coupling-xi{i + 1}",
-            residual=None if diff.is_zero() else diff))
+            residual=None if diff.is_zero() else diff)
     total = ring.one
     for f in f_list:
         total = total * f
     prod_diff = total - (e1**r - e2**r)
-    product_check = Verdict(prod_diff.is_zero(), "product-of-twists",
-                            residual=None if prod_diff.is_zero() else prod_diff)
+    verdicts["product-of-twists"] = Verdict(
+        prod_diff.is_zero(), "product-of-twists",
+        residual=None if prod_diff.is_zero() else prod_diff)
 
     vec, cov = data.section_parts()
     plain = spinor_module(ring, data.c1_rank)
     s0 = OrthoSection(ring, vec, cov)
     twist = TwistFamily(plain.module, clifford_action(s0, plain), tuple(f_list))
-    lemma2 = lemma2_build(twist, z)
+    parts = _lemma2_parts(twist, z)
+    differentials = parts[0]
 
     extended = spinor_module(ring, data.c1_rank, extended=True)
     split = spinor_split(extended)
     sections = []
-    matches = []
     iso_moves = []
     names: dict[str, str] = {}
     ext_complexes = []
@@ -925,26 +943,29 @@ def s_xi_reduce(data: RamondData,
         section = s_xi_build(data, xi)
         sections.append(section)
         action = clifford_action(section, extended)
-        transported = split.to_sum.compose(action).compose(split.from_sum)
-        target = lemma2.differentials[i]
-        same = transported == target.d
-        matches.append(Verdict(same, f"match-xi{i + 1}",
-                               message="" if same else
-                               "transported action differs from the product differential"))
-        ext_complex = curvature_check(extended.module, action)
+        # flat: the action squares to the pairing, 0 for an isotropic section
+        ext_complex = CurvedComplex(extended.module, action, ring.zero)
         ext_complexes.append(ext_complex)
+        target = differentials[i]
         names[ext_complex.digest()] = f"spinor.s_xi{i + 1}"
         names.setdefault(target.digest(), f"VV.d{i + 1}")
         iso_moves.append((+1, IsoMove(ext_complex, target,
                                       IsoPair(split.to_sum, split.from_sum))))
 
     iso_claim = [(1, c) for c in ext_complexes] + \
-                [(-1, dc) for dc in lemma2.differentials]
+                [(-1, dc) for dc in differentials]
     iso_cert = Certificate.build(ring, z, claim=iso_claim, moves=iso_moves,
                                  names=names)
-    combined = compose_certs(iso_cert, lemma2.certificate)
-    return SXiReduceResult(roots, f_list, twist, lemma2, sections, matches,
-                           coupling_checks, product_check, iso_cert, combined)
+    combined = compose_certs(iso_cert, parts[-1])
+    replay = verify(combined)
+    # the iso move for xi_i proves the transported action equals d_i
+    moves = [v for _, v in replay.move_results]
+    for i in range(r):
+        verdicts[f"match-xi{i + 1}"] = _reached(replay, moves, i, f"match-xi{i + 1}")
+    lemma2 = _lemma2_result(twist, parts, replay, r)
+    verdicts.update(lemma2.verdicts)
+    return SXiReduceResult(roots, f_list, twist, lemma2, sections, iso_cert,
+                           combined, replay, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ is sampled on this path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import (CurvatureError, CurvedComplex, Filtration,
                         SupportLocus, Verdict, filtration_verify, graded_slice,
@@ -85,7 +85,9 @@ class FiltrationMove:
         """Replay the move; sound only after :func:`verify`'s curvature pass.
 
         The graded slices are not squared again: each takes the curvature of
-        the whole complex, which the curvature pass has checked.
+        the whole complex, which the curvature pass has checked.  The verdict's
+        children are the filtration check and then one check per slice, up to
+        the first that fails; a failing move reads as that check.
         """
         if len(self.targets) != len(self.steps) or len(self.isos) != len(self.steps):
             return Verdict(False, "filtration-move",
@@ -99,9 +101,7 @@ class FiltrationMove:
             filt = Filtration(self.complex, self.steps)
         except ShapeError as exc:
             return Verdict(False, "filtration-move", message=str(exc))
-        v = filtration_verify(self.complex, filt)
-        if not v:
-            return v
+        parts = [filtration_verify(self.complex, filt)]
         # No product for the slices.  verify() has checked d^2 = W*id on the
         # whole complex, and filtration_verify that d keeps every step F_j.
         # For a, c in the slice S_j = F_j - F_(j+1), (d^2)[a][c] sums
@@ -111,12 +111,13 @@ class FiltrationMove:
         # 0 that curvature_check gives the zero module.
         curvature = self.complex.curvature
         for j, (target, pair) in enumerate(zip(self.targets, self.isos), start=1):
+            if not parts[-1]:
+                break
             sub, d = graded_slice(self.complex, filt, j)
             gr = CurvedComplex(sub, d, curvature if sub.total_rank else curvature.ring.zero)
-            v = _verify_iso(gr, target, pair, f"filtration-move gr{j}")
-            if not v:
-                return v
-        return Verdict(True, "filtration-move")
+            parts.append(_verify_iso(gr, target, pair, f"filtration-move gr{j}"))
+        head = parts[-1] if not parts[-1] else Verdict(True, "filtration-move")
+        return replace(head, children=tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,8 @@ class CertVerdict:
     ledger_ok: bool
     assumed_exact: list[str]
     message: str = ""
+    # the curvature pass: d^2 = c * id for every complex, by digest
+    curvatures: dict[str, Verdict] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -227,15 +230,18 @@ def verify(cert: Certificate) -> CertVerdict:
     """Replay every move exactly and reduce the formal claim to zero."""
     move_results: list[tuple[int, Verdict]] = []
     all_ok = True
-    for c in cert.all_complexes():
-        if residual([(1, c.d, c.d)], diagonal=(c.module, c.curvature)) is not None:
+    complexes = cert.all_complexes()
+    curvatures = {c.digest(): _curvature_verdict(c) for c in complexes}
+    # no move is replayed unless every complex has its recorded curvature
+    for c in complexes:
+        if not curvatures[c.digest()]:
             return CertVerdict(
-                False, [], False, [],
+                False, [], False, [], curvatures=curvatures,
                 message=f"complex {cert.name_of(c)} does not have its recorded curvature")
     for coeff, c in cert.claim:
         if coeff != 0 and not c.curvature.is_zero():
             return CertVerdict(
-                False, [], False, [],
+                False, [], False, [], curvatures=curvatures,
                 message=f"claim term {cert.name_of(c)} is curved, not a complex")
     for idx, (coeff, move) in enumerate(cert.moves):
         try:
@@ -267,7 +273,16 @@ def verify(cert: Certificate) -> CertVerdict:
             if name not in assumed:
                 assumed.append(name)
     return CertVerdict(all_ok and ledger_ok, move_results, ledger_ok,
-                       assumed, message)
+                       assumed, message, curvatures)
+
+
+def _curvature_verdict(c: CurvedComplex) -> Verdict:
+    bad = residual([(1, c.d, c.d)], diagonal=(c.module, c.curvature))
+    if bad is None:
+        return Verdict(True, "curvature")
+    where, value = bad   # FRAME_MISMATCH reads (None, None)
+    return Verdict(False, "curvature", location=where, residual=value,
+                   message=f"d^2 differs from the recorded curvature {c.curvature}")
 
 
 def compose_certs(c1: Certificate, c2: Certificate) -> Certificate:

@@ -154,8 +154,10 @@ def _parse_polys(ring: PolyRing, text: str, line_no: int) -> list[Poly]:
         try:
             out.append(ring.parse(chunk))
         except ParseError as exc:
-            raise FileFormatError(f"bad polynomial {chunk.strip()!r}: {exc}",
-                                  line_no) from None
+            entry = chunk.strip()
+            if len(entry) > 20:
+                entry = f"{entry[:20]}..."
+            raise FileFormatError(f"bad polynomial {entry!r}: {exc}", line_no) from None
     return out
 
 
@@ -484,44 +486,6 @@ def _parse_complex_body(reader: _Reader, ring: PolyRing) -> CurvedComplex:
     _, d = parse_map(reader, module, module)
     reader.expect("end")
     return CurvedComplex(module, d, curvature)
-
-
-# ---------------------------------------------------------------------------
-# orthogonal sections
-# ---------------------------------------------------------------------------
-
-def write_section(section) -> str:
-    """Coordinate lists of a section: two lines, or four with the extension."""
-    lines = ["vector " + ", ".join(str(p) for p in section.vector_part),
-             "covector " + ", ".join(str(p) for p in section.covector_part)]
-    if section.extended:
-        lines.append(f"l {section.l_part}")
-        lines.append(f"linv {section.linv_part}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_section(ring: PolyRing, text: str):
-    from .clifford import OrthoSection
-    reader = _Reader(text)
-    line_no, line = reader.next()
-    if not line.startswith("vector"):
-        raise FileFormatError("expected a 'vector' line", line_no)
-    vector = tuple(_parse_polys(ring, line[len("vector"):], line_no))
-    line_no, line = reader.next()
-    if not line.startswith("covector"):
-        raise FileFormatError("expected a 'covector' line", line_no)
-    covector = tuple(_parse_polys(ring, line[len("covector"):], line_no))
-    l_part = linv_part = None
-    if not reader.eof():
-        line_no, line = reader.next()
-        if not line.startswith("l "):
-            raise FileFormatError("expected an 'l' line", line_no)
-        l_part = _parse_polys(ring, line[2:], line_no)[0]
-        line_no, line = reader.next()
-        if not line.startswith("linv"):
-            raise FileFormatError("expected a 'linv' line", line_no)
-        linv_part = _parse_polys(ring, line[len("linv"):], line_no)[0]
-    return OrthoSection(ring, vector, covector, l_part, linv_part)
 
 
 # ---------------------------------------------------------------------------

@@ -711,15 +711,6 @@ def assemble(target: SuperModule, target_embs: list[list[int]],
     return ParityMap._from_rows(source, target, parity, map(_sorted_row, acc))
 
 
-def direct_sum(f: ParityMap, g: ParityMap,
-               prefixes: list[str] | None = None) -> ParityMap:
-    if f.parity != g.parity:
-        raise ShapeError("direct sum needs equal parities")
-    src, src_embs = direct_sum_modules([f.source, g.source], prefixes)
-    tgt, tgt_embs = direct_sum_modules([f.target, g.target], prefixes)
-    return assemble(tgt, tgt_embs, src, src_embs, f.parity, {(0, 0): f, (1, 1): g})
-
-
 def tensor_module(m: SuperModule, n: SuperModule) -> tuple[SuperModule, dict[tuple[int, int], int]]:
     """Tensor product module with pair-basis ordered lexicographically.
 

@@ -258,6 +258,7 @@ def test_coefficient_blowup_is_rejected_at_once(tmp_path, capsys, rows):
     err = capsys.readouterr().err
     assert "line 10" in err and "exceeds 100 bits" in err
     assert "Traceback" not in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 def _first_entry_replaced(text, entry):

@@ -1,0 +1,186 @@
+"""Golden corpus: seeded commands whose reports, JSON reports and bundles are fixed.
+
+Every command runs in a fresh directory with relative paths, so the
+``input:`` and ``bundle:`` lines do not depend on where the test runs.  The
+SHA-256 of each text report (with its exit code), each ``--json-report`` file,
+each written bundle and each generated instance is compared with the value
+recorded before the constructions stopped checking identities themselves.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+from mfcert.cli import main
+
+GENS = {
+    "lambda.txt": ["lambda-family", "--r", "3", "--size", "2", "--seed", "1"],
+    "twist.txt": ["twist-family", "--r", "3", "--size", "2", "--seed", "5"],
+    "remark.txt": ["remark-family", "--size", "2", "--seed", "1"],
+    "tau.txt": ["tau-data", "--r", "3", "--size", "2", "--seed", "6"],
+    "ramond.txt": ["ramond-data", "--r", "3", "--size", "2", "--seed", "1",
+                   "--field", "cyclotomic:3"],
+    "cone.txt": ["cone-lift", "--size", "2", "--seed", "8"],
+}
+
+# commands with their input and extra flags; those with a bundle write one
+RUNS = [
+    ("lemma1", "lambda.txt", [], True),
+    ("lemma2", "twist.txt", [], True),
+    ("remark", "remark.txt", [], True),
+    ("slambda", "tau.txt", [], True),
+    ("sxi", "ramond.txt", [], True),
+    ("conelift", "cone.txt", [], False),
+    ("check-mf", "twist.txt", [], False),
+    ("exactness", "koszul.txt", ["--trials", "5", "--seed", "1", "--zgens", "x"], False),
+    ("lemma1", "invalid.txt", [], False),
+]
+
+KOSZUL = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x\n"
+          "even e0\nodd o0\nbegin map d\nparity odd\nblock odd<-even\nrow x\nend map\n")
+INVALID = ("mfcert instance v1\nkind lambda-family\nfield rationals\n"
+           "variables x lambda\nr 2\neven e0\nodd o0\n"
+           "begin map d\nparity odd\nblock odd<-even\nrow lambda + x\n"
+           "block even<-odd\nrow lambda\nend map\n")
+
+EXPECTED = {
+    "lambda.txt":
+        "662d74215f0842a059e14ef64be5164512a242217c1a7ecdf9e1b93d9d5cbb5c",
+    "twist.txt":
+        "c8f7bab86bc228dc538684bb9db51047c9eb1419cbfe35f862dffb7ab0682210",
+    "remark.txt":
+        "0a38b7214847f2c44723a8d4b32392f00546540c607a41f0ca066048bf49ff43",
+    "tau.txt":
+        "3f1ae8eecda210bb1449ae8939ebca2c5c53ab3991a733bf92b99d99b7521f78",
+    "ramond.txt":
+        "2a6f83875c4fb817424d99343ae779ab625830dd13d01674efe00c61add7be2f",
+    "cone.txt":
+        "629fa78c84a3f41eac40f864ebfd2f0277e378931197da040099460ed1c7b4c9",
+    "lemma1 lambda.txt":
+        "9d27827676b8cb62688b03984587fac3cc058819aa8bb80ceaf9c194fd478d78",
+    "lemma1 lambda.txt json":
+        "52b6440a8a6a60647ca22b56323de2210e1233883dc79d35a5d67a32dc21d4af",
+    "lemma1 lambda.txt bundle":
+        "e2832b7d6da41fb23b4f2efcc2e8ab275d9f017710edaf6e2b3a0b53d2e3db39",
+    "lemma2 twist.txt":
+        "4cc19faae160559deadefd7eb765c51ffa8cd0e3e098ecb7e4c279624f26396c",
+    "lemma2 twist.txt json":
+        "43268e59b5ee7e6a5b5f28917b2c9857e18b7b6340e8fd0f2ea84f6404dae6ff",
+    "lemma2 twist.txt bundle":
+        "690ce4c9844aaba1c7fb43d3e847dab6029d63b2b150dc14fcda15b3b4be04a7",
+    "remark remark.txt":
+        "6fad42440b6e43f723fde4b39f4f203c2b40b0c5817e136ed8c234efcb9087fe",
+    "remark remark.txt json":
+        "dbfc78a74f44e202d8e269a8d66768eb8f5bff7469425c11badc514fb8234343",
+    "remark remark.txt bundle":
+        "526f49730a3acf4c4d5a2ec34de88f706102499d124496df0710f69973b21caa",
+    "slambda tau.txt":
+        "5fac8ccea365296b4c7153366b2fd76209faec7d4e48bc3c99553fdc226d6631",
+    "slambda tau.txt json":
+        "40cbe071cfaa1884b5d0ebb9dbda5f7a458be30407206f9439f6818dca4bfc9f",
+    "slambda tau.txt bundle":
+        "9caa0b6607624f062c77e5689cdcee05090c79dc810054d44443d26bdf77822f",
+    "sxi ramond.txt":
+        "79fb15bd9dc60dfd6bc053002685371133500a60194c5383678e2350afb01edb",
+    "sxi ramond.txt json":
+        "1941191e3ed1d323d64a8d83db72799ff09ea22aa75f669541177b416b742b8a",
+    "sxi ramond.txt bundle":
+        "85e8e26a19ad7d7af7151fee5991c3a7c0d9585c03b52fce0916c64d2c822975",
+    "conelift cone.txt":
+        "fc3c7ce1a3dde17c0c75b6c39f49b6af05e23559335b452d00329913da2aa49c",
+    "conelift cone.txt json":
+        "ec6bb3ce29befc457df7af80257914c5eae05b33b4dc503e84a27b6a3c7a22c1",
+    "check-mf twist.txt":
+        "554a562b0e87da4c480172a4369b2c43009dff1f0a6ce5367583d6059d5101f8",
+    "check-mf twist.txt json":
+        "e24b7ad8dd2eaeb4bbd4800d430c05c74ba3cecdced6f4302cdeb63e5e6a51af",
+    "exactness koszul.txt":
+        "2cd41ca47943e2ddc4e0830e83a5df3927a7dd2e9eeb9d2cd9d87db529259347",
+    "exactness koszul.txt json":
+        "3d27fbe2194b3231a84d7d7c23e909518bcddea5716240e4f0e5546d276177d9",
+    "lemma1 invalid.txt":
+        "09da302053c12e7b978e7c1515bd770625a0d58388770d970596190b3bd9e489",
+    "lemma1 invalid.txt json":
+        "8a6c38d51cce62284b2dcd0c9b14b11f40a4d71447bd1a656ddfd9c63fce0981",
+    "verify lemma1.bundle":
+        "5171ae44a165b9fe37189e9588948fc655564220332a5f7376a155f39cd7056f",
+    "verify lemma1.bundle json":
+        "a0a24620c475c8987284db073a70ea3ca2d04d553927bab5dc976ff6040d9840",
+    "verify lemma2.bundle":
+        "8d83d1178204d1e04b8171426a5306974ef7b7a8711b884ad6a8d2af48a0bad4",
+    "verify lemma2.bundle json":
+        "cf2ae586b963d157c0980c4bff6631359bf5d47dbfe950111934708213f682eb",
+    "verify remark.bundle":
+        "480e8e2e3b62c1d6ccdbc398a26113ed3e6e6acfb72cedbe91fbe10425257b34",
+    "verify remark.bundle json":
+        "c762bee3092767c3269eb3c48aee1d4446cf5bd88370c13dc895be6b64c6c654",
+    "verify slambda.bundle":
+        "4e631423c5f14f78f40a8a58ad0ed0652bfbe807305ada3e7d441634bac1fd90",
+    "verify slambda.bundle json":
+        "6f46811ff47de83b5084c034bad224b9b2e9e78676273935420ad137e75a34d2",
+    "verify sxi.bundle":
+        "e3fa1152376b1614fdff7e301c34369dc0a74239e1cdd8a1f6a397f91c9f58ae",
+    "verify sxi.bundle json":
+        "77ed3692c4c5e9086108b0d9a9b9efcd9ee47fb6ede3157040f9232e10e98d00",
+    "verify corrupt.bundle":
+        "d106e900378e1c06bb583e2015c743e474886cf04c49e702b6931d5c1cb38242",
+    "verify corrupt.bundle json":
+        "cadbc3b31ae1dda05633371424b5d4ca4d99c6030ff7cb2cfdb7ffc885cfd883",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return f"exit {rc}\n{out.getvalue()}".encode()
+
+
+def _corrupt_homotopy_entry(text: str) -> str:
+    """Add 1 to the first stored entry of the first homotopy witness."""
+    lines = text.splitlines()
+    start = lines.index("kind homotopy")
+    row = next(i for i in range(start, len(lines)) if lines[i].startswith("row "))
+    entries = lines[row][len("row "):].split(", ")
+    entries[0] = f"{entries[0]} + 1"
+    lines[row] = "row " + ", ".join(entries)
+    return "\n".join(lines) + "\n"
+
+
+def corpus() -> dict[str, str]:
+    """Run every command in the current directory; artifact name -> SHA-256."""
+    digests = {}
+    for name, args in GENS.items():
+        assert _run(["gen", "--kind", *args, "--out", name]) == b"exit 0\n"
+        digests[name] = _sha(Path(name).read_bytes())
+    Path("koszul.txt").write_text(KOSZUL)
+    Path("invalid.txt").write_text(INVALID)
+    bundles = []
+    for command, source, extra, writes in RUNS:
+        tag = f"{command} {source}"
+        argv = [command, source, *extra, "--json-report", "report.json"]
+        if writes:
+            bundle = f"{command}.bundle"
+            argv += ["--out", bundle]
+            bundles.append(bundle)
+        digests[tag] = _sha(_run(argv))
+        digests[f"{tag} json"] = _sha(Path("report.json").read_bytes())
+        if writes:
+            digests[f"{tag} bundle"] = _sha(Path(bundle).read_bytes())
+    Path("corrupt.bundle").write_text(
+        _corrupt_homotopy_entry(Path("lemma1.bundle").read_text()))
+    for bundle in bundles + ["corrupt.bundle"]:
+        digests[f"verify {bundle}"] = _sha(
+            _run(["verify", bundle, "--json-report", "report.json"]))
+        digests[f"verify {bundle} json"] = _sha(Path("report.json").read_bytes())
+    return digests
+
+
+def test_golden_corpus_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert corpus() == EXPECTED

@@ -110,14 +110,3 @@ def test_missing_values_raise_format_errors():
     broken = text.replace("field rationals", "field")
     with pytest.raises(FileFormatError):
         parse_instance(broken)
-
-
-def test_section_roundtrip():
-    from mfcert import OrthoSection
-    from mfcert.serialize import parse_section, write_section
-    plain = OrthoSection(RING, (RING.parse("x"), RING.zero),
-                         (RING.parse("y^2"), RING.one))
-    assert parse_section(RING, write_section(plain)) == plain
-    extended = OrthoSection(RING, (RING.parse("x"),), (RING.parse("y"),),
-                            RING.parse("x - y"), RING.parse("x + y"))
-    assert parse_section(RING, write_section(extended)) == extended

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from mfcert import (EVEN, ODD, ParityMap, PolyRing, ShapeError, SuperModule,
-                    compose, direct_sum, dual, parity_unit, rationals, shift,
-                    tensor)
+                    compose, dual, parity_unit, rationals, shift, tensor)
 
 RING = PolyRing(rationals(), ("x", "y"))
 
@@ -136,13 +135,6 @@ def test_tensor_composition_sign_rule():
         if (pg * pf2) % 2:
             rhs = -rhs
         assert lhs == rhs
-
-
-def test_direct_sum_of_maps():
-    v, d = koszul_map()
-    s = direct_sum(d, d)
-    assert s.source.total_rank == 4
-    assert compose(s, s).entries[0][0] == RING.parse("-x*y")
 
 
 def test_parity_unit_roundtrip():
