@@ -104,7 +104,12 @@ class CurvedComplex:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        """The first 16 hex digits of the SHA-256 of canonical_text(), computed once."""
+        """The first 16 hex digits of the SHA-256 of canonical_text(), computed once.
+
+        Each entry's text is the polynomial's one print: the text the reader
+        confirmed canonical for a complex read from a file, so a bundle is
+        hashed as read, and otherwise the print the bundle writer reuses.
+        """
         if self._digest is None:
             object.__setattr__(self, "_digest",
                                hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16])
@@ -276,15 +281,23 @@ def filtration_verify(c: CurvedComplex, f: Filtration) -> Verdict:
     return Verdict(True, "filtration")
 
 
-def graded_slice(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, ParityMap]:
-    """The j-th slice module and the induced map, without curvature checking."""
+def slice_basis(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, list[int]]:
+    """The j-th slice module and the indices of its basis in c, even first.
+
+    This builds no map; :func:`graded_slice` adds the induced differential.
+    """
     indices = f.slice_indices(j)
     mod = c.module
-    even = tuple(mod.labels[i] for i in indices if mod.parity(i) == EVEN)
-    odd = tuple(mod.labels[i] for i in indices if mod.parity(i) == ODD)
-    ordered = [i for i in indices if mod.parity(i) == EVEN] + \
-              [i for i in indices if mod.parity(i) == ODD]
-    sub = SuperModule(mod.ring, even, odd)
+    even = [i for i in indices if mod.parity(i) == EVEN]
+    odd = [i for i in indices if mod.parity(i) == ODD]
+    sub = SuperModule(mod.ring, tuple(mod.labels[i] for i in even),
+                      tuple(mod.labels[i] for i in odd))
+    return sub, even + odd
+
+
+def graded_slice(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, ParityMap]:
+    """The j-th slice module and the induced map, without curvature checking."""
+    sub, ordered = slice_basis(c, f, j)
     position = {old: new for new, old in enumerate(ordered)}
     rows = [tuple((position[s], p) for s, p in c.d.rows[r] if s in position)
             for r in ordered]

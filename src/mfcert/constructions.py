@@ -25,7 +25,7 @@ from math import factorial
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        clifford_square, spinor_module, spinor_split)
 from .complexes import (ChainMap, CurvedComplex, Filtration, SupportLocus,
-                        Verdict, cone, graded_slice, is_homotopy)
+                        Verdict, cone, is_homotopy, slice_basis)
 from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, compose_certs, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
@@ -177,7 +177,7 @@ def _slice_isos(c: CurvedComplex, filt: Filtration,
     """Identity-shaped isomorphisms between each graded slice and its target."""
     isos = []
     for j, target in enumerate(targets, start=1):
-        sub, _ = graded_slice(c, filt, j)
+        sub, _ = slice_basis(c, filt, j)
         isos.append(IsoPair(_identity_between(sub, target.module),
                             _identity_between(target.module, sub)))
     return isos

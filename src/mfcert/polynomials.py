@@ -4,7 +4,9 @@ Polynomials live in a :class:`PolyRing` (a field plus an ordered tuple of
 variable names) and store only nonzero terms, keyed by exponent vectors.
 The term order used for printing and leading terms is graded lexicographic
 in the declared variable order, so string output is canonical and
-``ring.parse(str(p)) == p`` exactly.
+``ring.parse(str(p)) == p`` exactly.  A polynomial keeps its printed text in
+one private slot, so ``str`` prints each object at most once: a digest and
+the bundle writer share that one print.
 
 ``PolyRing.parse`` reads in two steps.  The term reader (``_read_printed``)
 accepts exactly what ``Poly.__str__`` prints: signed terms joined by `` + ``
@@ -12,9 +14,17 @@ and `` - ``, each a ``*``-product of unsigned numerals ``n`` or ``n/m``,
 variables ``v`` or ``v^k`` and ``zeta`` or ``zeta^k``, optionally led by a
 parenthesised cyclotomic coefficient ``(a + b*zeta^j ...)``.  It memoises
 each signed term's text on the ring, since the entries of one file repeat a
-few distinct terms many times.  It never raises: for any other text, and
-for any text at a budget (an exponent of more than two digits, a degree
-above MAX_DEGREE, a numeral ``Fraction`` rejects, a zero denominator), it
+few distinct terms many times.  With each term the memo keeps its grade and
+whether the key is exactly what the printer writes for it; when every term
+is, and the terms strictly descend in graded-lex order, the text is
+canonical and the parsed polynomial keeps it as its print, so a file that
+was read is hashed as read and never printed again.  Any other text (``x +
+x``, reordered terms, ``2/4*x``, ``1*x``) keeps no text and prints on
+demand.  Only this module attaches a text to a ``Poly``.
+
+The term reader never raises: for a text outside that grammar, and for any
+text at a budget (an exponent of more than two digits, a degree above
+MAX_DEGREE, a numeral ``Fraction`` rejects, a zero denominator), it
 declines, and the token parser ``_Parser`` reads the text.  That parser
 takes hand-written expressions (parentheses around sums, powers of groups,
 any spacing) and is the only source of ``ParseError`` and its position.
@@ -66,7 +76,8 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
-        # term reader memo: signed term text -> (exponents, coefficient or None)
+        # term reader memo: signed term text -> (exponents, coefficient or None,
+        # grade key, whether the text is what the printer writes for the term)
         self._terms: dict[str, tuple] = {}
 
     @property
@@ -98,7 +109,7 @@ class PolyRing:
 
     @property
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly(self, {}, "0")
 
     @property
     def one(self) -> "Poly":
@@ -148,11 +159,13 @@ def _grade_key(exps: tuple[int, ...]):
 class Poly:
     """A sparse multivariate polynomial; immutable after construction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_text")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar]):
+    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar],
+                 text: str | None = None):
         self.ring = ring
         self.terms = terms
+        self._text = text    # the printed text, once printed or confirmed by the reader
 
     # -- predicates and views ---------------------------------------------------
 
@@ -356,36 +369,40 @@ class Poly:
 
     # -- printing -------------------------------------------------------------
 
-    def _term_str(self, exps: tuple[int, ...], coeff: Scalar) -> str:
-        factors = []
-        for v, e in zip(self.ring.variables, exps):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
-        cs = str(coeff)
-        if coeff.n_terms() > 1:
-            cs = f"({cs})"
-        if not factors:
-            return cs
-        mono = "*".join(factors)
-        if coeff.is_one():
-            return mono
-        if (-coeff).is_one():
-            return f"-{mono}"
-        return f"{cs}*{mono}"
-
     def __str__(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._text = self._print()
+        return text
+
+    def _print(self) -> str:
+        """The canonical text: terms in descending graded-lex order."""
         if not self.terms:
             return "0"
-        parts = [self._term_str(e, c) for e, c in self.sorted_terms()]
+        variables = self.ring.variables
+        parts = [_term_text(variables, e, c) for e, c in self.sorted_terms()]
         out = parts[0]
         for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+            out += f" - {p[1:]}" if p[0] == "-" else f" + {p}"
         return out
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _term_text(variables: tuple[str, ...], exps: tuple[int, ...], coeff: Scalar) -> str:
+    """One nonzero term as the printer writes it, led by ``-`` when negative."""
+    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e)
+    cs = coeff.coeffs
+    if mono and not any(cs[1:]):     # a rational coefficient 1 or -1 is not written
+        if cs[0] == 1:
+            return mono
+        if cs[0] == -1:
+            return f"-{mono}"
+    text = str(coeff)
+    if coeff.n_terms() > 1:
+        text = f"({text})"
+    return f"{text}*{mono}" if mono else text
 
 
 def exact_divide(p: Poly, q: Poly) -> Poly:
@@ -493,8 +510,11 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
     The text is a sum of signed terms joined by `` + `` and `` - ``; see
     :func:`_read_term` for one term.  Each signed term is read once per ring
     and memoised, so the repeated entries of a file cost a lookup each.
-    Anything else, including every text past the parser's budgets, returns
-    None and is left to :class:`_Parser`, the only source of ``ParseError``.
+    When the text is canonical (every term printed as the printer writes it,
+    the terms strictly descending in graded-lex order) the polynomial keeps
+    it as its print.  Anything else, including every text past the parser's
+    budgets, returns None and is left to :class:`_Parser`, the only source of
+    ``ParseError``.
     """
     pieces = text.split(" ")
     if "(" in text:
@@ -512,6 +532,8 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
         keys.append(op + pieces[i + 1])
     memo = ring._terms
     out: dict[tuple[int, ...], Scalar] = {}
+    canonical = True
+    last = None
     for key in keys:
         term = memo.get(key)
         if term is None:
@@ -519,7 +541,10 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
             if term is None:
                 return None
             memo[key] = term
-        exps, c = term
+        exps, c, grade, printed = term
+        if canonical:
+            canonical = printed and (last is None or grade < last)
+            last = grade
         if c is None:
             continue
         s = out.get(exps)
@@ -531,7 +556,7 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
                 del out[exps]
             else:
                 out[exps] = s
-    return Poly(ring, out)
+    return Poly(ring, out, text if canonical else None)
 
 
 def _join_groups(pieces: list[str]) -> list[str] | None:
@@ -551,15 +576,18 @@ def _join_groups(pieces: list[str]) -> list[str] | None:
 
 
 def _read_term(ring: PolyRing, key: str) -> tuple | None:
-    """``(exponents, coefficient)`` of one printed term, or None to decline.
+    """``(exponents, coefficient, grade, printed)`` of one term, or None to decline.
 
     ``key`` is a sign, ``+`` or ``-``, and then a ``*``-product of unsigned
     numerals ``n`` or ``n/m``, variables ``v`` or ``v^k`` and ``zeta`` or
     ``zeta^k``, optionally led by a parenthesised sum of such terms without
     variables (a cyclotomic coefficient).  The coefficient is None when the
-    term is zero.  Exponents of more than two digits, degrees above
-    MAX_DEGREE, numerals ``Fraction`` rejects and terms whose coefficient
-    the parser would find past MAX_COEFF_BITS are declined.
+    term is zero.  ``grade`` is the graded-lex key of the exponents, and
+    ``printed`` is true when the coefficient is nonzero and ``key`` is, sign
+    included, exactly what the printer writes for the term.  Exponents of
+    more than two digits, degrees above MAX_DEGREE, numerals ``Fraction``
+    rejects and terms whose coefficient the parser would find past
+    MAX_COEFF_BITS are declined.
     """
     body = key[1:]
     field = ring.field
@@ -581,7 +609,8 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
     exps = [0] * ring.nvars
     degree = 0
     # the coefficient is multiplied up factor by factor, as the parser does,
-    # and declined where the parser's coefficient-bit check would fail
+    # and declined where the parser's coefficient-bit check would fail;
+    # bits is 0 while the coefficient is still the implicit 1
     bits = _scalar_bits(coeff) if body[:1] == "(" else 0
     for factor in factors:
         base, caret, power = factor.partition("^")
@@ -604,18 +633,22 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
             return None
         else:
             try:
-                value = field.one * Fraction(base)
+                value = field.scalar(Fraction(base))
             except (ValueError, ZeroDivisionError):   # too many digits, or n/0
                 return None
         size = 1 if value is None else _scalar_bits(value)
         if size > MAX_COEFF_BITS or (bits and bits + size - 1 > MAX_COEFF_BITS):
             return None
         if value is not None:
-            coeff = coeff * value
-        bits = _scalar_bits(coeff)
+            coeff = coeff * value if bits else value
+            bits = _scalar_bits(coeff)
     if key[0] == "-":
         coeff = -coeff
-    return tuple(exps), None if coeff.is_zero() else coeff
+    exps = tuple(exps)
+    if coeff.is_zero():
+        return exps, None, None, False
+    text = _term_text(ring.variables, exps, coeff)
+    return exps, coeff, _grade_key(exps), key == (text if text[0] == "-" else "+" + text)
 
 
 _TOKEN = re.compile(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import CurvedComplex, Filtration, SupportLocus, graded_slice
+from .complexes import CurvedComplex, Filtration, SupportLocus, slice_basis
 from .constructions import RamondData, TauData
 from .kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
                     IsoPair, Move)
@@ -645,7 +645,7 @@ def _parse_bundle(reader: _Reader) -> Certificate:
                     raise FileFormatError(f"targets must be listed in order, got "
                                           f"{parts[0]} instead of {j}", line_no)
                 target = lookup(parts[1], line_no)
-                gr_module, _ = graded_slice(cx, filt, j)
+                gr_module, _ = slice_basis(cx, filt, j)
                 _, fwd = parse_map(reader, gr_module, target.module)
                 _, bwd = parse_map(reader, target.module, gr_module)
                 targets.append(target)

@@ -1,8 +1,13 @@
-"""Invariant guards in the package are real exceptions.
+"""Invariants of the package source, checked on its syntax trees.
 
-``python -O`` drops ``assert`` statements, so a guard written as one would
-silently stop checking.  Every module of ``mfcert`` is parsed and must hold
-none.
+Guards are real exceptions: ``python -O`` drops ``assert`` statements, so a
+guard written as one would silently stop checking.  Every module of
+``mfcert`` is parsed and must hold none.
+
+A polynomial's printed text is attached only where it is printed or
+confirmed canonical, in ``polynomials.py``: any other module that passed a
+text to ``Poly`` or touched ``_text`` could give a digest a text that is not
+the canonical print.
 """
 
 import ast
@@ -21,4 +26,19 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_polynomials_attaches_a_printed_text():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_text":
+                found.append(f"{path.name}:{node.lineno} touches _text")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "Poly" and (len(node.args) > 2 or node.keywords):
+                found.append(f"{path.name}:{node.lineno} passes a text to Poly")
     assert found == []
