@@ -13,19 +13,19 @@ import sys
 from pathlib import Path
 
 from .complexes import (ChainMap, CurvatureError, SampleError, SupportLocus,
-                        cone, curvature_check, is_chain_map, is_homotopy,
-                        strict_exactness_sample)
+                        curvature_check, strict_exactness_sample)
 from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
-                            TwistFamily, cone_lift, lemma1_build, lemma2_build,
-                            remark_decompose, s_lambda_check, s_xi_reduce)
+                            TwistFamily, cone_lift_check, lemma1_build,
+                            lemma2_build, remark_decompose, s_lambda_check,
+                            s_xi_reduce)
 from .kcert import verify as kcert_verify
 from .polynomials import ParseError
 from .scalars import FieldError, ScalarField, cyclotomic_field
-from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, FileFormatError,
-                        LambdaInstance, MfInstance, RemarkInstance, TwistInstance,
-                        parse_bundle, parse_instance, write_bundle,
-                        write_instance)
-from .supermod import EVEN, ParityMap, ShapeError
+from .serialize import (MAX_FIELD_ORDER, MAX_R, ConeLiftInstance,
+                        FileFormatError, LambdaInstance, MfInstance,
+                        RemarkInstance, TwistInstance, parse_bundle,
+                        parse_instance, write_bundle, write_instance)
+from .supermod import ShapeError
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -85,6 +85,16 @@ def _trial_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least one trial, got {n}")
     return n
+
+
+def _r_value(text: str) -> int:
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if r > MAX_R:
+        raise argparse.ArgumentTypeError(f"r {r} exceeds {MAX_R}")
+    return r
 
 
 def _zlocus(instance_ring, text: str | None) -> SupportLocus:
@@ -234,11 +244,9 @@ def cmd_slambda(args) -> int:
     if not isinstance(instance, TauData):
         raise FileFormatError("slambda needs a tau-data instance")
     report = Report("slambda", {"input": args.input, "r": instance.r})
-    zc = instance.check()
-    report.add("zero-composition", bool(zc), "" if zc else zc.describe())
     result = s_lambda_check(instance)
-    report.add("square-is-lambda^r", bool(result.verdict),
-               "" if result.verdict else result.verdict.describe())
+    _verdict_checks(report, {"zero-composition": result.composition,
+                             "square-is-lambda^r": result.verdict})
     if result.family is not None:
         chained = lemma1_build(result.family)
         report.add("induced-family-chain", chained.ok)
@@ -267,21 +275,9 @@ def cmd_conelift(args) -> int:
     if not isinstance(instance, ConeLiftInstance):
         raise FileFormatError("conelift needs a cone-lift instance")
     report = Report("conelift", {"input": args.input})
-    g = ChainMap(instance.a, instance.b, instance.g)
-    f = ChainMap(instance.b, instance.c, instance.f)
-    for name, cm in (("g-chain-map", g), ("f-chain-map", f)):
-        v = is_chain_map(cm)
-        report.add(name, bool(v), "" if v else v.describe())
-    fg = instance.f.compose(instance.g)
-    zero = ParityMap.zero(instance.a.module, instance.c.module, EVEN)
-    witness = is_homotopy(instance.a, instance.c, instance.h, fg, zero)
-    report.add("homotopy-witness", bool(witness),
-               "" if witness else witness.describe())
-    if report.ok:
-        lifted = cone_lift(g, f, instance.h)
-        cn = cone(g)
-        restriction = lifted.map.compose(cn.inclusion.map)
-        report.add("restriction-equals-f", restriction == instance.f)
+    result = cone_lift_check(ChainMap(instance.a, instance.b, instance.g),
+                             ChainMap(instance.b, instance.c, instance.f), instance.h)
+    _verdict_checks(report, result.verdicts)
     return _emit(report, args)
 
 
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--kind", required=True)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=_r_value, default=2)
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--field", type=_parse_field_flag, default=None)

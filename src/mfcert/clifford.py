@@ -45,9 +45,6 @@ class SpinorModule:
     def generators(self) -> int:
         return self.base_rank + (1 if self.extended else 0)
 
-    def index_of(self, subset: tuple[int, ...]) -> int:
-        return self._index[subset]
-
 
 def spinor_module(ring: PolyRing, base_rank: int, extended: bool = False) -> SpinorModule:
     if base_rank < 0:

@@ -144,15 +144,6 @@ class ChainMap:
     target: CurvedComplex
     map: ParityMap
 
-    @classmethod
-    def create(cls, source: CurvedComplex, target: CurvedComplex,
-               m: ParityMap) -> "ChainMap":
-        cm = cls(source, target, m)
-        v = is_chain_map(cm)
-        if not v:
-            raise ShapeError(f"not a chain map: {v.describe()}")
-        return cm
-
     @property
     def degree(self) -> int:
         return self.map.parity
@@ -201,13 +192,23 @@ class Cone:
 
 
 def cone(f: ChainMap) -> Cone:
-    """Mapping cone of an even chain map f: A -> B on B + A[1]."""
+    """Mapping cone of an even chain map f: A -> B on B + A[1].
+
+    The differential is [[d_B, f u], [0, d_A[1]]] with u: A[1] -> A the
+    parity unit.  Its square is [[c_B, (d_B f - f d_A) u], [0, c_A]], so the
+    one curvature check of the cone is the chain-map check of f: a map that
+    is not a chain map raises CurvatureError there, and complexes of
+    different curvature are refused before it.  The inclusion of B and the
+    projection onto A[1] are chain maps by their block form and are not
+    checked.
+    """
     if f.map.parity != EVEN:
         raise ShapeError("cone needs an even chain map")
-    v = is_chain_map(f)
-    if not v:
-        raise ShapeError(f"cone of a non-chain-map: {v.describe()}")
     a, b = f.source, f.target
+    if f.map.source != a.module or f.map.target != b.module:
+        raise ShapeError("chain map shape does not match its complexes")
+    if a.curvature != b.curvature:
+        raise CurvatureError("cone of a map between complexes of different curvature")
     a1 = a.shifted()
     module, embs = direct_sum_modules([b.module, a1.module], ["b.", "a."])
     coupling = f.map.compose(parity_unit(a.module))  # A[1] -> B, odd
@@ -221,11 +222,7 @@ def cone(f: ChainMap) -> Cone:
                     {(0, 0): ParityMap.identity(b.module)})
     one = module.ring.one
     proj = ParityMap._from_rows(module, a1.module, EVEN, (((pos, one),) for pos in embs[1]))
-    return Cone(
-        total,
-        ChainMap.create(b, total, incl),
-        ChainMap.create(total, a1, proj),
-    )
+    return Cone(total, ChainMap(b, total, incl), ChainMap(total, a1, proj))
 
 
 # -----------------------------------------------------------------------------

@@ -8,24 +8,23 @@
 * :func:`lemma2_build` turns an odd endomorphism with square -(f1...fr) into
   the family of r flat differentials on V + V[1] and the filtered total
   complex with an explicit contracting homotopy.
-* :func:`s_lambda_check` and :func:`s_xi_build` / :func:`s_xi_reduce` drive
-  the spinor-side constructions: a deformed isotropic section squaring to
-  lambda**r, and the root-of-unity twisted sections whose transported actions
-  are exactly the product-family differentials.
+* :func:`s_lambda_check` and :func:`s_xi_reduce` drive the spinor-side
+  constructions: a deformed isotropic section squaring to lambda**r, and the
+  root-of-unity twisted sections whose transported actions are exactly the
+  product-family differentials.
 * :func:`cone_lift` extends a map along a mapping cone using a homotopy
-  witness.
+  witness; :func:`cone_lift_check` reports its preconditions line by line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
 
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
-                       clifford_square, spinor_module, spinor_split)
-from .complexes import (ChainMap, CurvedComplex, Filtration, SupportLocus,
-                        Verdict, cone, is_homotopy, slice_basis)
+                       spinor_module, spinor_split)
+from .complexes import (ChainMap, Cone, CurvedComplex, Filtration, SupportLocus,
+                        Verdict, cone, is_chain_map, is_homotopy, slice_basis)
 from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, compose_certs, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
@@ -36,6 +35,13 @@ from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
 
 class InvariantError(ValueError):
     """Constructor data violates its defining identity."""
+
+
+def _vanishes(kind: str, diff: Poly, message: str = "") -> Verdict:
+    """The verdict that ``diff`` is zero, with ``diff`` as its residual if not."""
+    if diff.is_zero():
+        return Verdict(True, kind)
+    return Verdict(False, kind, message=message, residual=diff)
 
 
 def _require_lambda(ring: PolyRing):
@@ -517,26 +523,8 @@ def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# symmetric powers of a two-term complex
+# deformed isotropic sections squaring to lambda^r
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """C0 -> C1 with C0 even and C1 odd; one C0 slot may be marked as the unit."""
-
-    ring: PolyRing
-    c0_labels: tuple[str, ...]
-    c1_labels: tuple[str, ...]
-    d: tuple[tuple[Poly, ...], ...]   # shape |C1| x |C0|
-    unit_slot: int | None = None
-
-    def __post_init__(self):
-        if len(self.d) != len(self.c1_labels) or any(
-                len(row) != len(self.c0_labels) for row in self.d):
-            raise ShapeError("two-term differential has the wrong shape")
-        if self.unit_slot is not None and not (0 <= self.unit_slot < len(self.c0_labels)):
-            raise ShapeError("unit slot out of range")
-
 
 def _multisets(slots: int, degree: int):
     if slots == 0:
@@ -554,82 +542,6 @@ def multinomial(exps: tuple[int, ...]) -> int:
         out //= factorial(e)
     return out
 
-
-@dataclass
-class SymPowerResult:
-    complex: CurvedComplex
-    basis: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    augmentation: ChainMap | None
-
-
-def sym_power(two: TwoTermComplex, r: int) -> SymPowerResult:
-    """The r-th symmetric power, folded mod 2, with its Koszul differential.
-
-    The term of exterior degree i is S^{r-i} C0 tensor Lambda^i C1; the
-    differential replaces one symmetric factor (with multiplicity) by its
-    image wedged into the exterior part.
-    """
-    if r < 1:
-        raise ShapeError("need r >= 1")
-    ring = two.ring
-    n0, n1 = len(two.c0_labels), len(two.c1_labels)
-    basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for i in range(0, min(r, n1) + 1):
-        for m in _multisets(n0, r - i):
-            for t in combinations(range(n1), i):
-                basis.append((m, t))
-
-    def label(m, t):
-        parts = [f"{two.c0_labels[a]}^{e}" if e > 1 else two.c0_labels[a]
-                 for a, e in enumerate(m) if e]
-        parts += [two.c1_labels[b] for b in t]
-        return ".".join(parts) if parts else "1"
-
-    even_basis = [bt for bt in basis if len(bt[1]) % 2 == 0]
-    odd_basis = [bt for bt in basis if len(bt[1]) % 2 == 1]
-    ordered = even_basis + odd_basis
-    index = {bt: k for k, bt in enumerate(ordered)}
-    module = SuperModule(ring,
-                         tuple(label(*bt) for bt in even_basis),
-                         tuple(label(*bt) for bt in odd_basis))
-    z = ring.zero
-    entries = [[z] * len(ordered) for _ in range(len(ordered))]
-    for (m, t), col in index.items():
-        for a, e in enumerate(m):
-            if e == 0:
-                continue
-            m2 = list(m)
-            m2[a] -= 1
-            for b in range(n1):
-                c = two.d[b][a]
-                if c.is_zero() or b in t:
-                    continue
-                sign = -1 if sum(1 for s in t if s < b) % 2 else 1
-                t2 = tuple(sorted(t + (b,)))
-                row = index[(tuple(m2), t2)]
-                val = c.scalar_mul(e if sign > 0 else -e)
-                entries[row][col] = entries[row][col] + val
-    d = ParityMap(module, module, ODD, entries)
-    # flat: the Koszul differential squares to 0, as two wedge insertions anticommute
-    total = CurvedComplex(module, d, ring.zero)
-
-    augmentation = None
-    if two.unit_slot is not None:
-        target_module = SuperModule(ring, ("Lr",), ())
-        target = CurvedComplex(target_module,
-                               ParityMap.zero(target_module, target_module, ODD),
-                               ring.zero)
-        pure = tuple(r if a == two.unit_slot else 0 for a in range(n0))
-        row = [z] * len(ordered)
-        row[index[(pure, ())]] = ring.one
-        aug = ParityMap(module, target_module, EVEN, [row])
-        augmentation = ChainMap.create(total, target, aug)
-    return SymPowerResult(total, ordered, augmentation)
-
-
-# ---------------------------------------------------------------------------
-# deformed isotropic sections squaring to lambda^r
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TauData:
@@ -675,31 +587,24 @@ class TauData:
         for vec in self.nu.values():
             yield from vec
 
-    def section_coordinates(self) -> list[Poly]:
-        cols = [self.ring.var(v) for v in self.coords]
-        cols.append(self.ring.var(LAMBDA))
-        return cols
-
-    def pairing_poly(self) -> Poly:
-        """< nu((x + lambda 1)^{r-1}), dtilde(x + lambda 1) > as a polynomial."""
-        cols = self.section_coordinates()
-        vec = _matrix_column(self.dtilde, cols, self.ring)
-        cov = apply_sym_tensor(self.nu, cols, self.c1_rank, self.ring)
-        q = self.ring.zero
-        for a, b in zip(vec, cov):
-            q = q + a * b
-        return q
+    def section(self) -> OrthoSection:
+        """The deformed section at the generic column x + lambda 1: vector part
+        dtilde(x + lambda 1), covector part nu((x + lambda 1)^{r-1})."""
+        cols = [self.ring.var(v) for v in self.coords] + [self.ring.var(LAMBDA)]
+        return OrthoSection(self.ring,
+                            tuple(_matrix_column(self.dtilde, cols, self.ring)),
+                            tuple(apply_sym_tensor(self.nu, cols, self.c1_rank, self.ring)))
 
     def check(self) -> Verdict:
-        """The zero-composition condition: only the pure-unit term may survive."""
-        q = self.pairing_poly()
-        lam = self.ring.var(LAMBDA)
-        residual = q - q.coefficient_in(LAMBDA, self.r).substitute(LAMBDA, 0) * lam**self.r
-        stray = residual
-        if stray.is_zero():
-            return Verdict(True, "zero-composition")
-        return Verdict(False, "zero-composition", residual=stray,
-                       message="pairing has terms outside the unit direction")
+        """The zero-composition condition on the section's pairing."""
+        return _zero_composition(self.section().pairing(), self.r)
+
+
+def _zero_composition(q: Poly, r: int) -> Verdict:
+    """Only the pure-unit term lambda^r of the pairing q may survive."""
+    return _vanishes("zero-composition",
+                     q - q.coefficient_in(LAMBDA, r) * q.ring.var(LAMBDA)**r,
+                     "pairing has terms outside the unit direction")
 
 
 def _matrix_column(rows, column: list[Poly], ring: PolyRing) -> list[Poly]:
@@ -732,6 +637,7 @@ class SLambdaResult:
     section: OrthoSection
     section_at_zero: OrthoSection
     spinor: SpinorModule
+    composition: Verdict
     verdict: Verdict
     square: Poly
     family: LambdaFamily | None
@@ -742,32 +648,33 @@ class SLambdaResult:
 
 
 def s_lambda_check(tau: TauData) -> SLambdaResult:
-    """Form the deformed section and verify its Clifford square is lambda^r."""
+    """Form the deformed section and read both of its identities off one pairing.
+
+    The pairing q = <nu((x + lambda 1)^{r-1}), dtilde(x + lambda 1)> is
+    computed once: ``composition`` is the zero-composition condition and
+    ``verdict`` is q = lambda^r.  Only when q = lambda^r is the Clifford action
+    built, once, as the family d(lambda); the square check of
+    :class:`LambdaFamily` is then the one map-level check, since
+    action^2 = q * id is the identity action^2 = lambda^r * id.  The action's
+    entries have lambda-degree at most r - 1, as the datum's entries are
+    lambda-free.
+    """
     ring = tau.ring
-    lam = ring.var(LAMBDA)
-    cols = tau.section_coordinates()
-    vec = tuple(_matrix_column(tau.dtilde, cols, ring))
-    cov = tuple(apply_sym_tensor(tau.nu, cols, tau.c1_rank, ring))
-    spinor = spinor_module(ring, tau.c1_rank)
-    section = OrthoSection(ring, vec, cov)
-    square = clifford_square(section, spinor)
-    residual = square - lam**tau.r
-    ok = residual.is_zero()
-    verdict = Verdict(ok, "s-lambda", residual=None if ok else residual,
-                      message="" if ok else "square is not lambda^r")
+    section = tau.section()
+    q = section.pairing()
+    verdict = _vanishes("s-lambda", q - ring.var(LAMBDA)**tau.r,
+                        "square is not lambda^r")
     at_zero = OrthoSection(
         ring,
-        tuple(p.substitute(LAMBDA, 0) for p in vec),
-        tuple(p.substitute(LAMBDA, 0) for p in cov))
+        tuple(p.substitute(LAMBDA, 0) for p in section.vector_part),
+        tuple(p.substitute(LAMBDA, 0) for p in section.covector_part))
+    spinor = spinor_module(ring, tau.c1_rank)
     family = None
-    if ok:
-        action = clifford_action(section, spinor)
-        for _, _, p in action.nonzero():   # degree guard: the family must close below r
-            if p.degree_in(LAMBDA) > tau.r - 1:
-                raise InvariantError(
-                    f"action entry {p} has lambda-degree above r - 1 = {tau.r - 1}")
-        family = LambdaFamily.from_map(spinor.module, action, tau.r)
-    return SLambdaResult(section, at_zero, spinor, verdict, square, family)
+    if verdict:
+        family = LambdaFamily.from_map(spinor.module, clifford_action(section, spinor),
+                                       tau.r)
+    return SLambdaResult(section, at_zero, spinor, _zero_composition(q, tau.r),
+                         verdict, q, family)
 
 
 # ---------------------------------------------------------------------------
@@ -816,31 +723,23 @@ class RamondData:
         yield from self.e1
         yield from self.e2
 
-    def coordinate_column(self) -> list[Poly]:
-        return [self.ring.var(v) for v in self.coords]
-
     def linear_form(self, row: tuple[Poly, ...]) -> Poly:
         acc = self.ring.zero
-        for p, c in zip(row, self.coordinate_column()):
-            acc = acc + p * c
+        for p, v in zip(row, self.coords):
+            acc = acc + p * self.ring.var(v)
         return acc
 
-    def section_parts(self) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-        cols = self.coordinate_column()
-        vec = tuple(_matrix_column(self.d, cols, self.ring))
-        cov = tuple(apply_sym_tensor(self.nu, cols, self.c1_rank, self.ring))
-        return vec, cov
+    def section(self) -> OrthoSection:
+        """The untwisted section at the generic column x: (d(x), nu(x^{r-1}))."""
+        cols = [self.ring.var(v) for v in self.coords]
+        return OrthoSection(self.ring, tuple(_matrix_column(self.d, cols, self.ring)),
+                            tuple(apply_sym_tensor(self.nu, cols, self.c1_rank, self.ring)))
 
     def check(self) -> Verdict:
         """Isotropy across all twists: <nu(x^{r-1}), d(x)> = -(e1^r - e2^r)."""
-        vec, cov = self.section_parts()
-        q = self.ring.zero
-        for a, b in zip(vec, cov):
-            q = q + a * b
-        residual = q + self.linear_form(self.e1)**self.r - self.linear_form(self.e2)**self.r
-        if residual.is_zero():
-            return Verdict(True, "twist-isotropy")
-        return Verdict(False, "twist-isotropy", residual=residual)
+        return _vanishes("twist-isotropy", self.section().pairing()
+                         + self.linear_form(self.e1)**self.r
+                         - self.linear_form(self.e2)**self.r)
 
 
 def cyclotomic_coupling(ring: PolyRing, e1: Poly, e2: Poly, r: int,
@@ -850,25 +749,6 @@ def cyclotomic_coupling(ring: PolyRing, e1: Poly, e2: Poly, r: int,
     for i in range(r):
         acc = acc + (e1**i) * (e2 ** (r - 1 - i)) * ring.const(xi ** (r - 1 - i))
     return acc
-
-
-def s_xi_build(data: RamondData, xi: Scalar) -> OrthoSection:
-    """The four-component twisted section; isotropic for every r-th root xi."""
-    one = data.ring.field.one
-    if xi**data.r != one:
-        raise InvariantError(f"{xi} is not an {data.r}-th root of unity")
-    inv = data.check()
-    if not inv:
-        raise InvariantError(f"twist data invariant fails: {inv.describe()}")
-    vec, cov = data.section_parts()
-    e1 = data.linear_form(data.e1)
-    e2 = data.linear_form(data.e2)
-    l_part = e1 - e2 * data.ring.const(xi)
-    linv_part = cyclotomic_coupling(data.ring, e1, e2, data.r, xi)
-    section = OrthoSection(data.ring, vec, cov, l_part, linv_part)
-    if not section.pairing().is_zero():
-        raise InvariantError("twisted section is not isotropic")
-    return section
 
 
 @dataclass
@@ -892,10 +772,21 @@ def s_xi_reduce(data: RamondData,
                 z: SupportLocus | None = None) -> SXiReduceResult:
     """Transport every twisted section to a product-family differential.
 
-    The sections over the r-th roots of unity act on the extended spinor
-    module; through the canonical split each action equals, entry for entry,
-    one differential of the product family built from the linear twists
-    f_xi = e1 - xi*e2 on the plain spinor module.
+    The section twisted by an r-th root of unity xi is (d(x), nu(x^{r-1}))
+    extended by the pair (f_xi, c_xi): f_xi = e1 - xi*e2 wedges and the
+    cyclotomic coupling c_xi contracts.  It acts on the extended spinor
+    module; through the canonical split the action equals, entry for entry,
+    one differential of the product family of the twists f_xi on the plain
+    spinor module.
+
+    Each part is computed once: the section parts and e1, e2 for all roots,
+    and c_xi once per root, as both the operand of the ``coupling-xiK`` line
+    and the section's contraction part.  No pairing is computed here and
+    :meth:`RamondData.check` is not called: each complex ``spinor.s_xiK`` is
+    recorded flat, so the replay's curvature pass proves
+    action^2 = pairing * id = 0, the isotropy, or fails it.  The product
+    family still checks its own square, so a datum that fails ``check()``
+    raises there, as :class:`TwistFamily` does for ``lemma2``.
     """
     from .scalars import roots_of_unity
 
@@ -906,42 +797,36 @@ def s_xi_reduce(data: RamondData,
     e1 = data.linear_form(data.e1)
     e2 = data.linear_form(data.e2)
     f_list = [e1 - e2 * ring.const(xi) for xi in roots]
+    s0 = data.section()
 
     verdicts: dict[str, Verdict] = {}
+    sections = []
     for i, xi in enumerate(roots):
         prod = ring.one
         for j, f in enumerate(f_list):
             if j != i:
                 prod = prod * f
-        expected = cyclotomic_coupling(ring, e1, e2, r, xi)
-        diff = prod - expected
-        verdicts[f"coupling-xi{i + 1}"] = Verdict(
-            diff.is_zero(), f"coupling-xi{i + 1}",
-            residual=None if diff.is_zero() else diff)
+        coupling = cyclotomic_coupling(ring, e1, e2, r, xi)
+        verdicts[f"coupling-xi{i + 1}"] = _vanishes(f"coupling-xi{i + 1}", prod - coupling)
+        sections.append(OrthoSection(ring, s0.vector_part, s0.covector_part,
+                                     f_list[i], coupling))
     total = ring.one
     for f in f_list:
         total = total * f
-    prod_diff = total - (e1**r - e2**r)
-    verdicts["product-of-twists"] = Verdict(
-        prod_diff.is_zero(), "product-of-twists",
-        residual=None if prod_diff.is_zero() else prod_diff)
+    verdicts["product-of-twists"] = _vanishes("product-of-twists",
+                                              total - (e1**r - e2**r))
 
-    vec, cov = data.section_parts()
     plain = spinor_module(ring, data.c1_rank)
-    s0 = OrthoSection(ring, vec, cov)
     twist = TwistFamily(plain.module, clifford_action(s0, plain), tuple(f_list))
     parts = _lemma2_parts(twist, z)
     differentials = parts[0]
 
     extended = spinor_module(ring, data.c1_rank, extended=True)
     split = spinor_split(extended)
-    sections = []
     iso_moves = []
     names: dict[str, str] = {}
     ext_complexes = []
-    for i, xi in enumerate(roots):
-        section = s_xi_build(data, xi)
-        sections.append(section)
+    for i, section in enumerate(sections):
         action = clifford_action(section, extended)
         # flat: the action squares to the pairing, 0 for an isotropic section
         ext_complex = CurvedComplex(extended.module, action, ring.zero)
@@ -972,25 +857,56 @@ def s_xi_reduce(data: RamondData,
 # lifting maps through mapping cones
 # ---------------------------------------------------------------------------
 
-def cone_lift(g: ChainMap, f: ChainMap, h: ParityMap) -> ChainMap:
-    """Extend f: B -> C along the cone of g: A -> B using a homotopy witness.
+@dataclass
+class ConeLiftResult:
+    """The cone of g and the lift of f along it, both None unless every
+    precondition line passes; ``verdicts`` holds the report lines."""
 
-    ``h`` must be an odd map A -> C with d h + h d = f g; the lift restricts
-    to f on B and acts by h on the shifted copy of A.  The sign on the shifted
-    component is fixed by the restriction identity.
+    cone: Cone | None
+    lift: ChainMap | None
+    verdicts: dict[str, Verdict]
+
+
+def cone_lift_check(g: ChainMap, f: ChainMap, h: ParityMap) -> ConeLiftResult:
+    """Check the preconditions of a cone lift once each, then build it once.
+
+    The lines are ``g-chain-map``, ``f-chain-map`` and ``homotopy-witness``
+    (d h + h d = f g for the odd map h: A -> C).  When all three pass, the
+    cone of g is built once; its curvature check restates that g is a chain
+    map.  The lift restricts to f on B and acts by h on the shifted copy of
+    A; it is a chain map exactly when f is one and h is a witness, so that is
+    not checked again.  The one identity checked on the lift is
+    ``restriction-equals-f``: the lift composed with the inclusion of B is f.
     """
     if g.target is not f.source and g.target != f.source:
         raise ShapeError("maps do not compose: g must land in the source of f")
-    fg = f.map.compose(g.map)
-    zero = ParityMap.zero(g.source.module, f.target.module, EVEN)
-    witness = is_homotopy(g.source, f.target, h, fg, zero)
-    if not witness:
-        raise ShapeError(f"homotopy precondition fails: {witness.describe()}")
+    a, c = g.source, f.target
+    verdicts = {"g-chain-map": is_chain_map(g), "f-chain-map": is_chain_map(f),
+                "homotopy-witness": is_homotopy(
+                    a, c, h, f.map.compose(g.map),
+                    ParityMap.zero(a.module, c.module, EVEN))}
+    if not all(verdicts.values()):
+        return ConeLiftResult(None, None, verdicts)
     cn = cone(g)
-    module = cn.complex.module
-    _, embs = direct_sum_modules([f.source.module, g.source.module.shifted()],
-                                 ["b.", "a."])
-    h_shift = h.compose(parity_unit(g.source.module))   # A[1] -> C, even
-    lift = assemble(f.target.module, [list(range(f.target.module.total_rank))],
-                    module, embs, EVEN, {(0, 0): f.map, (0, 1): h_shift})
-    return ChainMap.create(cn.complex, f.target, lift)
+    _, embs = direct_sum_modules([f.source.module, a.module.shifted()], ["b.", "a."])
+    h_shift = h.compose(parity_unit(a.module))   # A[1] -> C, even
+    lift = ChainMap(cn.complex, c, assemble(
+        c.module, [list(range(c.module.total_rank))], cn.complex.module, embs, EVEN,
+        {(0, 0): f.map, (0, 1): h_shift}))
+    verdicts["restriction-equals-f"] = Verdict(
+        lift.map.compose(cn.inclusion.map) == f.map, "restriction-equals-f")
+    return ConeLiftResult(cn, lift, verdicts)
+
+
+def cone_lift(g: ChainMap, f: ChainMap, h: ParityMap) -> ChainMap:
+    """Extend f: B -> C along the cone of g: A -> B using a homotopy witness.
+
+    ``h`` must be an odd map A -> C with d h + h d = f g.  Raises
+    InvariantError naming the first line of :func:`cone_lift_check` that
+    fails, such as a bad witness or a g that is not a chain map.
+    """
+    result = cone_lift_check(g, f, h)
+    for v in result.verdicts.values():
+        if not v:
+            raise InvariantError(f"cone lift precondition fails: {v.describe()}")
+    return result.lift

@@ -18,8 +18,8 @@ from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
                             multinomial)
 from .polynomials import LAMBDA, Poly, PolyRing, exact_divide
 from .scalars import ScalarField, cyclotomic_field
-from .serialize import (ConeLiftInstance, LambdaInstance, RemarkInstance,
-                        TwistInstance)
+from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, LambdaInstance,
+                        RemarkInstance, TwistInstance)
 from .supermod import (EVEN, ODD, ParityMap, SuperModule, direct_sum_modules,
                        assemble, tensor, tensor_module)
 
@@ -67,6 +67,12 @@ def _unipotent(rng: random.Random, module: SuperModule,
     return u, inv
 
 
+def _require_r(r: int, least: int, kind: str):
+    """Refuse an r below the kind's minimum before anything is built."""
+    if r < least:
+        raise InvariantError(f"{kind} needs r >= {least}, got {r}")
+
+
 def _conjugate(d: ParityMap, u: ParityMap, u_inv: ParityMap) -> ParityMap:
     return u.compose(d).compose(u_inv)
 
@@ -99,6 +105,7 @@ def _lambda_block(rng: random.Random, ring: PolyRing, r: int,
 
 def gen_lambda_family(r: int, size: int, seed: int,
                       field: ScalarField | None = None) -> LambdaInstance:
+    _require_r(r, 2, "lambda-family")
     rng = random.Random(seed)
     field = field or cyclotomic_field(1)
     ring = PolyRing(field, BASE_VARS + (LAMBDA,))
@@ -197,6 +204,7 @@ def _twist_tensor_piece(rng: random.Random, ring: PolyRing, fs: list[Poly],
 
 def gen_twist_family(r: int, size: int, seed: int,
                      field: ScalarField | None = None) -> TwistInstance:
+    _require_r(r, 1, "twist-family")
     rng = random.Random(seed)
     field = field or cyclotomic_field(1)
     ring = PolyRing(field, BASE_VARS + (LAMBDA,))
@@ -267,6 +275,7 @@ def extract_sym_tensor(polys: list[Poly], slot_vars: tuple[str, ...],
 
 def gen_tau_data(r: int, size: int, seed: int,
                  field: ScalarField | None = None) -> TauData:
+    _require_r(r, 2, "tau-data")
     rng = random.Random(seed)
     field = field or cyclotomic_field(1)
     n0 = 1 if size <= 1 else 2
@@ -318,6 +327,9 @@ def gen_tau_data(r: int, size: int, seed: int,
 
 def gen_ramond_data(r: int, size: int, seed: int,
                     field: ScalarField | None = None) -> RamondData:
+    _require_r(r, 2, "ramond-data")
+    if field is None and r > MAX_FIELD_ORDER:   # its default field is Q(zeta_r)
+        raise InvariantError(f"ramond-data over cyclotomic {r} needs r <= {MAX_FIELD_ORDER}")
     rng = random.Random(seed)
     field = field or cyclotomic_field(r)
     n0 = 1 if size <= 1 else 2

@@ -213,18 +213,6 @@ class CertVerdict:
     def __bool__(self) -> bool:
         return self.ok
 
-    def lines(self) -> list[str]:
-        out = []
-        for idx, v in self.move_results:
-            out.append(f"move {idx}: {v.describe()}")
-        out.append("ledger: " + ("claim reduces to 0 = 0" if self.ledger_ok
-                                 else f"FAIL {self.message}"))
-        if self.assumed_exact:
-            out.append("assumed strictly exact off the locus: "
-                       + ", ".join(self.assumed_exact))
-        out.append("certificate: " + ("PASS" if self.ok else "FAIL"))
-        return out
-
 
 def verify(cert: Certificate) -> CertVerdict:
     """Replay every move exactly and reduce the formal claim to zero."""

@@ -131,22 +131,6 @@ class PolyRing:
     def monomial(self, exps: tuple[int, ...], coeff=1) -> "Poly":
         return self.poly({tuple(exps): self.field.scalar(coeff)})
 
-    def embed(self, p: "Poly") -> "Poly":
-        """Carry a polynomial from a subring (matched by variable names)."""
-        if p.ring == self:
-            return p
-        missing = [v for v in p.ring.variables if v not in self._index]
-        if missing:
-            raise ContextError(f"cannot embed: variables {missing} absent from {self!r}")
-        slots = [self._index[v] for v in p.ring.variables]
-        terms = {}
-        for exps, c in p.terms.items():
-            new = [0] * self.nvars
-            for s, e in zip(slots, exps):
-                new[s] = e
-            terms[tuple(new)] = self.field.scalar(c)
-        return self.poly(terms)
-
     def parse(self, text: str) -> "Poly":
         p = _read_printed(self, text.strip())
         return _Parser(self, text).parse() if p is None else p

@@ -13,7 +13,7 @@ from .complexes import CurvedComplex, Filtration, SupportLocus, slice_basis
 from .constructions import RamondData, TauData
 from .kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
                     IsoPair, Move)
-from .polynomials import ParseError, Poly, PolyRing
+from .polynomials import MAX_DEGREE, ParseError, Poly, PolyRing
 from .scalars import ScalarField, cyclotomic_field
 from .supermod import EVEN, ODD, ParityMap, ShapeError, SuperModule
 
@@ -25,6 +25,14 @@ MAGIC_BUNDLE = "mfcert bundle v1"
 # hostile ``field cyclotomic 20011`` line fails at once instead of building
 # the quadratic tables of a field of degree 20010.
 MAX_FIELD_ORDER = 120
+
+# The largest r an instance file or the ``gen --r`` flag may name.  A lambda
+# family whose entries stay under ``polynomials.MAX_DEGREE`` squares to
+# lambda-degree at most 2 * MAX_DEGREE, so no larger r can hold; the cap is
+# over ten times the largest r the tests use (12).  A hostile ``r 999999999``
+# line fails at once instead of building r coefficient maps or computing
+# factorial(r - 1).
+MAX_R = 2 * MAX_DEGREE
 
 
 class FileFormatError(ParseError):
@@ -75,12 +83,6 @@ class ConeLiftInstance:
     g: ParityMap   # A -> B, even
     f: ParityMap   # B -> C, even
     h: ParityMap   # A -> C, odd
-
-    def __eq__(self, other):
-        if not isinstance(other, ConeLiftInstance):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.g, self.f, self.h) == \
-            (other.a, other.b, other.c, other.g, other.f, other.h)
 
 
 Instance = (MfInstance | LambdaInstance | RemarkInstance | TwistInstance
@@ -133,6 +135,14 @@ def _parse_field(parts: list[str], line_no: int) -> ScalarField:
                                   line_no)
         return cyclotomic_field(order)
     raise FileFormatError(f"bad field spec {' '.join(parts)!r}", line_no)
+
+
+def _parse_r(reader: _Reader) -> int:
+    line_no, parts = reader.expect("r")
+    r = int(parts[0])
+    if r > MAX_R:
+        raise FileFormatError(f"r {r} exceeds {MAX_R}", line_no)
+    return r
 
 
 def field_spec(field: ScalarField) -> str:
@@ -409,8 +419,7 @@ def _parse_instance(reader: _Reader) -> Instance:
         _, d = parse_map(reader, module, module)
         return MfInstance(module, d)
     if kind == "lambda-family":
-        _, parts = reader.expect("r")
-        r = int(parts[0])
+        r = _parse_r(reader)
         module = _parse_labels(reader, ring)
         _, d = parse_map(reader, module, module)
         return LambdaInstance(module, d, r)
@@ -427,8 +436,7 @@ def _parse_instance(reader: _Reader) -> Instance:
         _, d = parse_map(reader, module, module)
         return RemarkInstance(module, d, target, roots)
     if kind == "twist-family":
-        _, parts = reader.expect("r")
-        r = int(parts[0])
+        r = _parse_r(reader)
         line_no, line = reader.next()
         if not line.startswith("functions"):
             raise FileFormatError("expected a 'functions' line", line_no)
@@ -441,8 +449,7 @@ def _parse_instance(reader: _Reader) -> Instance:
     if kind in ("tau-data", "ramond-data"):
         _, parts = reader.expect("coords")
         coords = tuple(parts)
-        _, parts = reader.expect("r")
-        r = int(parts[0])
+        r = _parse_r(reader)
         _, parts = reader.expect("c1rank")
         c1_rank = int(parts[0])
         n0 = len(coords)

@@ -412,9 +412,6 @@ class ParityMap:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
-    def is_endomorphism(self) -> bool:
-        return self.source == self.target
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParityMap):
             return NotImplemented

@@ -142,6 +142,21 @@ def test_cone_inclusion_projection_composition_vanishes():
     assert is_chain_map(cn.projection)
 
 
+def test_cone_of_a_non_chain_map_raises():
+    # d_B g - g d_A is the off-diagonal block of the cone's square, so the
+    # cone's one curvature check refuses g; so does a curvature mismatch
+    a = one_sided_complex("x")
+    b = one_sided_complex("y")
+    g = ChainMap(a, b, ParityMap.identity(a.module))
+    assert not is_chain_map(g)
+    with pytest.raises(CurvatureError, match="not scalar"):
+        cone(g)
+    curved = koszul_complex()
+    assert not curved.is_flat()
+    with pytest.raises(CurvatureError, match="different curvature"):
+        cone(ChainMap(b, curved, ParityMap.identity(b.module)))
+
+
 def test_trivial_filtration_slice_is_whole_complex():
     c = koszul_complex()
     filt = Filtration(c, (tuple(range(c.module.total_rank)),))

@@ -6,12 +6,11 @@ import pytest
 
 from mfcert import (EVEN, ODD, ChainMap, InvariantError, LambdaFamily,
                     ParityMap, PolyRing, RamondData, SuperModule,
-                    TauData, TwistFamily, TwoTermComplex,
-                    compose, cone, cone_lift, curvature_check,
-                    cyclotomic_coupling, cyclotomic_field, is_homotopy,
-                    lemma1_build, lemma2_build, multinomial, parity_unit,
+                    TauData, TwistFamily, compose, cone, cone_lift,
+                    curvature_check, cyclotomic_coupling, cyclotomic_field,
+                    is_homotopy, lemma1_build, lemma2_build, parity_unit,
                     rationals, remark_decompose, roots_of_unity, s_lambda_check,
-                    s_xi_build, s_xi_reduce, sym_power, verify)
+                    s_xi_reduce, verify)
 from mfcert.generators import (gen_cone_lift, gen_ramond_data,
                                gen_tau_data, gen_twist_family)
 from mfcert.kcert import IsoMove, IsoPair
@@ -363,80 +362,6 @@ def test_lemma1_with_discharged_exactness(r):
 
 
 # ---------------------------------------------------------------------------
-# symmetric powers
-# ---------------------------------------------------------------------------
-
-def test_sym_power_r1_is_the_complex_itself():
-    two = TwoTermComplex(RING, ("u0", "u1"), ("w0",),
-                         ((RING.parse("x"), RING.parse("y")),))
-    sp = sym_power(two, 1)
-    assert sp.complex.module.even_rank == 2
-    assert sp.complex.module.odd_rank == 1
-    assert compose(sp.complex.d, sp.complex.d).is_zero()
-    assert sp.complex.d.entries[2][0] == RING.parse("x")
-    assert sp.complex.d.entries[2][1] == RING.parse("y")
-
-
-def test_sym_power_r2_multiplicity():
-    two = TwoTermComplex(RING, ("u0",), ("w0",), ((RING.parse("x"),),))
-    sp = sym_power(two, 2)
-    # u0^2 maps to 2 u0 w0 by x
-    col = sp.basis.index(((2,), ()))
-    row = sp.basis.index(((1,), (0,)))
-    assert sp.complex.d.entries[row][col] == RING.parse("2*x")
-    assert compose(sp.complex.d, sp.complex.d).is_zero()
-
-
-def test_sym_power_d_squares_to_zero_bigger():
-    two = TwoTermComplex(RING, ("u0", "u1"), ("w0", "w1"),
-                         ((RING.parse("x"), RING.parse("y")),
-                          (RING.parse("y"), RING.parse("x + 1"))))
-    sp = sym_power(two, 3)
-    assert compose(sp.complex.d, sp.complex.d).is_zero()
-
-
-def test_sym_power_augmentation_kills_non_unit_monomials():
-    two = TwoTermComplex(RING, ("u0", "one"), ("w0",),
-                         ((RING.parse("x"), RING.parse("y")),), unit_slot=1)
-    sp = sym_power(two, 2)
-    aug = sp.augmentation
-    assert aug is not None
-    row = aug.map.entries[0]
-    for k, (m, t) in enumerate(sp.basis):
-        expected_one = (m == (0, 2) and t == ())
-        assert row[k].is_one() == expected_one
-        if not expected_one:
-            assert row[k].is_zero()
-
-
-def test_cone_of_power_difference_map():
-    """Cone over the degree-r power-difference augmentation is a flat complex."""
-    r = 2
-    e1c, e2c = (1, 2), (3, -1)
-    two = TwoTermComplex(RING, ("u0", "u1"), ("w0",),
-                         ((RING.parse("x"), RING.parse("y")),))
-    sp = sym_power(two, r)
-    target_mod = SuperModule.free(RING, 1, 0, "L")
-    target = curvature_check(target_mod, ParityMap.zero(target_mod, target_mod, ODD))
-    row = [RING.zero] * sp.complex.module.total_rank
-    for k, (m, t) in enumerate(sp.basis):
-        if t:
-            continue
-        v1 = v2 = 1
-        for c, e in zip(e1c, m):
-            v1 *= c**e
-        for c, e in zip(e2c, m):
-            v2 *= c**e
-        row[k] = RING.const(multinomial(m) * (v1 - v2))
-    aug = ChainMap.create(sp.complex, target,
-                          ParityMap(sp.complex.module, target_mod, EVEN, [row]))
-    cn = cone(aug)
-    assert cn.complex.curvature.is_zero()
-    shifted = cn.complex.shifted()
-    assert shifted.curvature.is_zero()
-
-
-# ---------------------------------------------------------------------------
 # deformed sections
 # ---------------------------------------------------------------------------
 
@@ -506,16 +431,17 @@ def worked_ramond():
 
 
 def test_s_xi_build_worked_example():
+    """The twisted sections s_xi_reduce builds, one per root: isotropic, with
+    the wedge part e1 - xi*e2 and the coupling as the contraction part."""
     data = worked_ramond()
     ring = data.ring
-    for xi in roots_of_unity(ring.field, 2):
-        s = s_xi_build(data, xi)
+    res = s_xi_reduce(data)
+    assert res.roots == roots_of_unity(ring.field, 2)
+    for s in res.sections:
         assert s.pairing().is_zero()
-    s1 = s_xi_build(data, ring.field.one)
+    s1 = res.sections[res.roots.index(ring.field.one)]
     assert s1.l_part == ring.parse("-xh1")            # e1 - e2 = x - 2x
     assert s1.linv_part == ring.parse("3*xh1")        # e1 + e2
-    with pytest.raises(InvariantError):
-        s_xi_build(data, ring.field.scalar(2))
 
 
 def test_s_xi_build_e2_zero_degenerates():
@@ -525,9 +451,10 @@ def test_s_xi_build_e2_zero_degenerates():
                       ((one,),), {(2,): (ring.parse("-1"),)},
                       (one,), (z,))
     assert data.check()
-    xi = roots_of_unity(ring.field, 3)[1]
-    s = s_xi_build(data, xi)
-    assert s.linv_part == ring.parse("xh1^2")  # only the e1^{r-1} term survives
+    res = s_xi_reduce(data)
+    assert res.ok
+    for s in res.sections:
+        assert s.linv_part == ring.parse("xh1^2")  # only the e1^{r-1} term survives
 
 
 def test_cyclotomic_coupling_symbolic_r3():

@@ -82,13 +82,6 @@ def test_context_mismatch(ring):
         ring.var("x") + other.var("x")
 
 
-def test_embed_by_variable_name(ring):
-    sub = PolyRing(rationals(), ("x",))
-    p = sub.parse("x^2 + 1")
-    q = ring.embed(p)
-    assert q == ring.parse("x^2 + 1")
-
-
 def _polys(ring, max_terms=4):
     exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
     term = st.tuples(exponents, st.integers(-3, 3))

@@ -6,8 +6,8 @@ from mfcert import ODD, ParityMap, PolyRing, SuperModule, cyclotomic_field, rati
 from mfcert.generators import (gen_cone_lift, gen_lambda_family,
                                gen_ramond_data, gen_remark_family,
                                gen_tau_data, gen_twist_family)
-from mfcert.serialize import (FileFormatError, _Reader, map_lines, parse_map,
-                              parse_instance, write_instance)
+from mfcert.serialize import (MAX_R, FileFormatError, _Reader, map_lines,
+                              parse_map, parse_instance, write_instance)
 
 RING = PolyRing(rationals(), ("x", "y"))
 
@@ -110,3 +110,20 @@ def test_missing_values_raise_format_errors():
     broken = text.replace("field rationals", "field")
     with pytest.raises(FileFormatError):
         parse_instance(broken)
+
+
+@pytest.mark.parametrize("gen", [gen_lambda_family, gen_twist_family, gen_tau_data,
+                                 gen_ramond_data])
+def test_r_above_the_cap_fails_at_its_line(gen):
+    lines = write_instance(gen(3, 1, 1)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("r "))
+    lines[at] = f"r {MAX_R + 1}"
+    with pytest.raises(FileFormatError, match=f"r {MAX_R + 1} exceeds {MAX_R}") as exc:
+        parse_instance("\n".join(lines))
+    assert exc.value.line == at + 1
+
+
+def test_r_at_the_cap_is_read():
+    lines = write_instance(gen_lambda_family(3, 1, 1)).splitlines()
+    lines = [f"r {MAX_R}" if line.startswith("r ") else line for line in lines]
+    assert parse_instance("\n".join(lines)).r == MAX_R
