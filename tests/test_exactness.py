@@ -1,4 +1,4 @@
-"""The exactness sampler's integer rank kernel against the Scalar reference."""
+"""The exactness sampler's integer rank kernel against the reference rank."""
 
 from fractions import Fraction
 

@@ -2,7 +2,8 @@
 
 ``supermod.residual`` returns the first nonzero entry of a signed sum of
 products and maps minus c * id.  The reference builds every product and the
-whole sum densely in ``Scalar`` arithmetic and takes its first nonzero entry.
+whole sum densely in its own ``Fraction`` polynomials and takes its first
+nonzero entry.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ from mfcert import (EVEN, ODD, CurvatureError, Certificate, CurvedComplex,
 from mfcert.complexes import ChainMap
 from mfcert.kcert import IsoMove, IsoPair
 from mfcert.supermod import FRAME_MISMATCH, residual, scalar_square
-from reference import dense_add, dense_compose, dense_neg, first_nonzero
+from reference import (dense_add, dense_compose, dense_neg, dense_scalar,
+                       first_nonzero, ref, ref_found)
 from test_sparse_maps import RINGS, _as_lists, _dense, _module, _poly
 
 # Extra denominators, one per term, so that the terms' lcm exceeds each one.
@@ -59,18 +61,16 @@ def _sums(draw):
 
 
 def _reference(ring, source, target, products, maps, diagonal):
-    zero = ring.zero
-    total = [[zero] * source.total_rank for _ in range(target.total_rank)]
+    total = [[{}] * source.total_rank for _ in range(target.total_rank)]
     for s, a, b in products:
-        term = dense_compose(_as_lists(a), _as_lists(b), source.total_rank, zero)
+        term = dense_compose(_as_lists(a), _as_lists(b), source.total_rank,
+                             ring.field.modulus)
         total = dense_add(total, term if s > 0 else dense_neg(term))
     for s, m in maps:
         total = dense_add(total, _as_lists(m) if s > 0 else dense_neg(_as_lists(m)))
     if diagonal is not None:
         _, c = diagonal
-        scalar = [[c if i == j else zero for j in range(source.total_rank)]
-                  for i in range(target.total_rank)]
-        total = dense_add(total, dense_neg(scalar))
+        total = dense_add(total, dense_neg(dense_scalar(ref(c), source.total_rank)))
     return first_nonzero(total)
 
 
@@ -79,7 +79,7 @@ def _reference(ring, source, target, products, maps, diagonal):
 def test_residual_matches_dense_reference(case):
     ring, source, target, products, maps, diagonal = case
     want = _reference(*case)
-    assert residual(products, maps, diagonal) == want
+    assert ref_found(residual(products, maps, diagonal)) == want
     if want is None and (products or maps):
         # the sum is c * id: the kernel agrees whichever term comes first
         assert residual(products[::-1], maps[::-1], diagonal) is None
@@ -111,10 +111,11 @@ def _odd_endomorphisms(draw):
 def test_scalar_square_matches_dense_reference(case):
     ring, d = case
     n = d.source.total_rank
-    sq = dense_compose(_as_lists(d), _as_lists(d), n, ring.zero)
-    c = sq[0][0] if n else ring.zero
-    scalar = [[c if i == j else ring.zero for j in range(n)] for i in range(n)]
-    assert scalar_square(d) == (c, first_nonzero(dense_add(sq, dense_neg(scalar))))
+    sq = dense_compose(_as_lists(d), _as_lists(d), n, ring.field.modulus)
+    c = sq[0][0] if n else {}
+    got_c, found = scalar_square(d)
+    assert (ref(got_c), ref_found(found)) == \
+        (c, first_nonzero(dense_add(sq, dense_neg(dense_scalar(c, n)))))
 
 
 def test_products_that_do_not_compose_raise():
