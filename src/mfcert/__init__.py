@@ -5,9 +5,8 @@ from .scalars import (FieldError, Scalar, ScalarField, cyclotomic_field,
                       rationals, roots_of_unity)
 from .polynomials import (LAMBDA, ContextError, DivisionError, ParseError,
                           Poly, PolyRing, exact_divide)
-from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, compose,
-                       direct_sum_modules, dual, parity_unit, shift, tensor,
-                       tensor_module)
+from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
+                       direct_sum_modules, parity_unit, tensor, tensor_module)
 from .complexes import (ChainMap, Cone, CurvatureError, CurvedComplex,
                         Filtration, SampleError, SupportLocus, Verdict, cone,
                         curvature_check, filtration_verify, is_chain_map,

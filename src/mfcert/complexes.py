@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
-from .polynomials import Poly, clear_denominators
+from .polynomials import Poly, int_modulus, split_key
 from .scalars import ScalarField
 from .supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, Row, ShapeError,
                        SuperModule, assemble, direct_sum_modules, parity_unit,
@@ -42,7 +43,8 @@ class SupportLocus:
         return not self.generators
 
     def off_locus(self, point: dict) -> bool:
-        return all(not g.evaluate(point).is_zero() for g in self.generators)
+        """Whether no generator vanishes at a point with integer coordinates."""
+        return not any(g.vanishes_at(point) for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -358,30 +360,32 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 class _IntegerBlock:
     """A polynomial matrix over Q(zeta_r), prepared for exact rank at integer points.
 
-    The block is scaled by the lcm of its coefficient denominators, so
-    evaluation at an integer point is integer arithmetic and yields a
-    coefficient vector of length deg per entry.  An entry a is expanded into
-    its deg x deg multiplication matrix, the regular representation of
-    Q(zeta_r) over Q (1x1 for Q); the rank over the field is the integer rank
-    of the expansion divided by deg.
+    Each row is scaled by the lcm of its entries' denominators, which leaves
+    the rank unchanged, so evaluation at an integer point is integer
+    arithmetic on the entries' numerators and yields a coefficient vector of
+    length deg per entry.  An entry a is expanded into its deg x deg
+    multiplication matrix, the regular representation of Q(zeta_r) over Q
+    (1x1 for Q); the rank over the field is the integer rank of the
+    expansion divided by deg.
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: ScalarField, nvars: int):
         """``rows`` are sparse: nonzero ``(column, Poly)`` pairs, columns below ``ncols``."""
-        _, self.modulus, cleared = clear_denominators(
-            field, [p for row in rows for _, p in row])
+        self.modulus = int_modulus(field)
         self.deg = field.degree
         self.ncols = ncols
         self.max_exp = [0] * nvars
         self.rows = []
-        polys = iter(cleared)
         for row in rows:
+            den = lcm(*(p.den for _, p in row))
             entries = []
-            for j, _ in row:
+            for j, p in row:
+                scale = den // p.den
                 terms = []
-                for exps, vector in next(polys):
+                for key, n in p.nums.items():
+                    exps, z = split_key(key, nvars)
                     self.max_exp = [max(a, b) for a, b in zip(self.max_exp, exps)]
-                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e), vector))
+                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e), z, n * scale))
                 entries.append((j, terms))
             self.rows.append(entries)
 
@@ -399,13 +403,10 @@ class _IntegerBlock:
             block = [[0] * width for _ in range(deg)]
             for j, terms in entries:
                 value = [0] * deg
-                for mono, coeffs in terms:
-                    m = 1
+                for mono, z, c in terms:
                     for v, e in mono:
-                        m *= powers[v][e]
-                    for k, c in enumerate(coeffs):
-                        if c:
-                            value[k] += c * m
+                        c *= powers[v][e]
+                    value[z] += c
                 # row k of the multiplication matrix is value * t^k reduced mod Phi_r
                 for k in range(deg):
                     if k:
@@ -433,8 +434,8 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     the certificate layer only accepts homotopy-based exactness proofs.
 
     Ranks are exact.  Only the nonzero entries of the two odd blocks d+ and
-    d- are evaluated, in integers: each row's denominators are cleared once,
-    and powers of the point's coordinates come from a table.  Over
+    d- are evaluated, in integers: each row is brought to one denominator
+    once, and powers of the point's coordinates come from a table.  Over
     Q(zeta_r) every value is expanded into its multiplication matrix (the
     regular representation over Q), and the rank is the fraction-free
     Bareiss rank of the integer expansion divided by deg Phi_r.

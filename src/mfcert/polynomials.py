@@ -1,10 +1,22 @@
-"""Sparse multivariate polynomials over an exact scalar field.
+"""Sparse multivariate polynomials over Q or Q(zeta_r), in one integer form.
 
-Polynomials live in a :class:`PolyRing` (a field plus an ordered tuple of
-variable names) and store only nonzero terms, keyed by exponent vectors.
-The term order used for printing and leading terms is graded lexicographic
-in the declared variable order, so string output is canonical and
-``ring.parse(str(p)) == p`` exactly.  A polynomial keeps its printed text in
+A :class:`Poly` of a :class:`PolyRing` (a field and ordered variable names)
+is one positive int ``den`` over a dict ``nums`` from packed keys to nonzero
+ints, with ``gcd(den, every numerator) == 1``, so equality is syntactic.  A
+key packs a monomial's exponents into 16-bit slots above a lowest slot for
+the power of zeta, which stays below deg Phi_r; Q is the case deg = 1.  A
+monomial product is one integer add (packed exponent vectors, Monagan and
+Pearce, CASC 2007) and zeta powers of deg and up fold back by the integral
+Phi_r; one denominator over int numerators is FLINT's ``fmpq_poly`` layout.
+A factor with an exponent of 2^15 or more raises OverflowError before a
+product, so no slot carries into the next.  Only this module knows the
+layout: the map kernels build their results with :func:`normalised` and
+:func:`fold`, and ``Poly.terms`` is an ``{exponents: Scalar}`` view for
+readers outside them.
+
+The printer groups the keys by monomial and writes the monomials in graded
+lexicographic order of the declared variables, so string output is
+canonical and ``ring.parse(str(p)) == p`` exactly.  A polynomial keeps its printed text in
 one private slot, so ``str`` prints each object at most once: a digest and
 the bundle writer share that one print.
 
@@ -24,21 +36,31 @@ demand.  Only this module attaches a text to a ``Poly``.
 
 The term reader never raises: for a text outside that grammar, and for any
 text at a budget (an exponent of more than two digits, a degree above
-MAX_DEGREE, a numeral ``Fraction`` rejects, a zero denominator), it
-declines, and the token parser ``_Parser`` reads the text.  That parser
-takes hand-written expressions (parentheses around sums, powers of groups,
-any spacing) and is the only source of ``ParseError`` and its position.
+MAX_DEGREE, a numeral of more digits than ``int`` converts, a zero
+denominator), it declines, and the token parser ``_Parser`` reads the text.
+That parser takes hand-written expressions (parentheses around sums, powers
+of groups, any spacing) and is the only source of ``ParseError`` and its
+position.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+from operator import itemgetter, or_
 
 from .scalars import FieldError, Scalar, ScalarField
 
 LAMBDA = "lambda"  # reserved deformation-parameter variable name
+
+# The key layout: one slot per variable above the lowest slot, which holds
+# the power of zeta.  A product adds two keys, so a factor may not hold an
+# exponent of _SLOT_HALF or more: then no sum reaches the next slot.
+_SLOT_BITS = 16
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_SLOT_HALF = 1 << (_SLOT_BITS - 1)
 
 
 class ContextError(ValueError):
@@ -59,10 +81,88 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def int_modulus(field: ScalarField) -> tuple[int, ...]:
+    """Phi_r below its leading 1 as ints, low degree first; FieldError if not integral."""
+    if any(c.denominator != 1 for c in field.modulus):
+        raise FieldError(f"modulus of {field} is not integral")
+    return tuple(int(c) for c in field.modulus[:-1])
+
+
+def _zeta_folds(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """t^deg, ..., t^(2 deg - 2) reduced modulo the monic integral Phi_r.
+
+    ``modulus`` is :func:`int_modulus`; entry z - deg of the result is the
+    coefficient vector of t^z, low degree first.  These are the zeta powers a
+    product of two reduced coefficients reaches.
+    """
+    deg = len(modulus)
+    folds = []
+    power = [0] * (deg - 1) + [1]          # t^(deg-1)
+    for _ in range(deg - 1):
+        top = power[-1]                    # t * power, then t^deg = -sum m_i t^i
+        power = [0] + power[:-1]
+        power = [x - top * m for x, m in zip(power, modulus)]
+        folds.append(tuple(power))
+    return tuple(folds)
+
+
+def fold(nums: dict[int, int], folds):
+    """Fold zeta powers of deg and up back below deg by Phi_r, in place.
+
+    ``folds`` is ``ring.folds``, one vector per power from deg to 2 deg - 2
+    (none over Q); folded keys are left at 0 for :func:`normalised` to drop.
+    """
+    deg = len(folds) + 1
+    for key, c in list(nums.items()):
+        z = key & _SLOT_MASK
+        if z >= deg and c:
+            base = key - z
+            for i, m in enumerate(folds[z - deg]):
+                if m:
+                    nums[base + i] = nums.get(base + i, 0) + c * m
+            nums[key] = 0
+
+
+def _pack(exps) -> int:
+    """The key of a monomial, with the zeta slot empty."""
+    key = 0
+    for e in reversed(exps):
+        if not 0 <= e <= _SLOT_MASK:
+            raise OverflowError(f"exponent {e} does not fit a {_SLOT_BITS}-bit slot")
+        key = (key | e) << _SLOT_BITS
+    return key
+
+
+def split_key(key: int, nvars: int) -> tuple[tuple[int, ...], int]:
+    """``(exponents, zeta power)`` of a key."""
+    return (tuple((key >> (_SLOT_BITS * (i + 1))) & _SLOT_MASK for i in range(nvars)),
+            key & _SLOT_MASK)
+
+
+def check_room(keys, ring: "PolyRing"):
+    """Raise OverflowError if a key holds an exponent a product could carry out of its slot."""
+    if reduce(or_, keys, 0) & ring._high:
+        raise OverflowError(f"an exponent of {_SLOT_HALF} or more leaves its "
+                            f"{_SLOT_BITS}-bit slot no room for a product")
+
+
+def normalised(ring: "PolyRing", den: int, nums: dict[int, int]) -> "Poly":
+    """The polynomial nums / den (den > 0): zeros dropped, common factors cancelled."""
+    nums = {k: n for k, n in nums.items() if n}
+    if not nums:
+        return Poly(ring, 1, nums)
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return Poly(ring, den, nums)
+
+
 class PolyRing:
     """A polynomial ring: scalar field + ordered variable names."""
 
-    __slots__ = ("field", "variables", "_index", "_terms")
+    __slots__ = ("field", "variables", "_index", "_high", "_folds", "_terms", "_monos")
 
     def __init__(self, field: ScalarField, variables: tuple[str, ...] | list[str]):
         variables = tuple(variables)
@@ -76,13 +176,25 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
-        # term reader memo: signed term text -> (exponents, coefficient or None,
-        # grade key, whether the text is what the printer writes for the term)
+        # the top bit of every variable slot: a factor must hold none of them
+        self._high = sum(_SLOT_HALF << (_SLOT_BITS * (i + 1)) for i in range(len(variables)))
+        self._folds = None
+        # term reader memo: signed term text -> (den, nums or None when the
+        # term is 0, grade key, whether the text is what the printer writes)
         self._terms: dict[str, tuple] = {}
+        # printer memo: key >> _SLOT_BITS -> (grade key, monomial text)
+        self._monos: dict[int, tuple] = {}
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
+
+    @property
+    def folds(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`_zeta_folds` of this ring's field, built on first use."""
+        if self._folds is None:
+            self._folds = _zeta_folds(int_modulus(self.field))
+        return self._folds
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyRing):
@@ -97,39 +209,46 @@ class PolyRing:
 
     # -- constructors ---------------------------------------------------------
 
-    def poly(self, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
-        clean = {}
+    def poly(self, terms: dict[tuple[int, ...], object]) -> "Poly":
+        """The polynomial with coefficients (int, Fraction or Scalar) on exponent vectors."""
+        vectors = []
         for exps, coeff in terms.items():
             if len(exps) != self.nvars:
                 raise ContextError(f"exponent vector {exps} does not match arity {self.nvars}")
-            c = self.field.scalar(coeff)
-            if not c.is_zero():
-                clean[tuple(exps)] = c
-        return Poly(self, clean)
+            vectors.append((_pack(exps), self.field.scalar(coeff).coeffs))
+        den = lcm(*(c.denominator for _, cs in vectors for c in cs))
+        return normalised(self, den, {mono + z: c.numerator * (den // c.denominator)
+                                      for mono, cs in vectors for z, c in enumerate(cs)})
 
     @property
     def zero(self) -> "Poly":
-        return Poly(self, {}, "0")
+        return Poly(self, 1, {}, "0")
 
     @property
     def one(self) -> "Poly":
-        return self.const(1)
+        return Poly(self, 1, {0: 1})
 
     def const(self, value) -> "Poly":
-        c = self.field.scalar(value)
-        if c.is_zero():
-            return self.zero
-        return Poly(self, {(0,) * self.nvars: c})
+        if isinstance(value, int):
+            return Poly(self, 1, {0: value} if value else {})
+        if isinstance(value, Fraction):
+            return normalised(self, value.denominator, {0: value.numerator})
+        return self.poly({(0,) * self.nvars: value})
 
     def var(self, name: str) -> "Poly":
         if name not in self._index:
             raise ContextError(f"unknown variable {name!r} in {self!r}")
-        exps = [0] * self.nvars
-        exps[self._index[name]] = 1
-        return Poly(self, {tuple(exps): self.field.one})
+        return Poly(self, 1, {1 << (_SLOT_BITS * (self._index[name] + 1)): 1})
 
     def monomial(self, exps: tuple[int, ...], coeff=1) -> "Poly":
-        return self.poly({tuple(exps): self.field.scalar(coeff)})
+        return self.poly({tuple(exps): coeff})
+
+    @property
+    def zeta(self) -> "Poly":
+        """The field's root of unity as a constant: 1 or -1 when deg = 1."""
+        if self.field.degree == 1:
+            return self.const(1 if self.field.order == 1 else -1)
+        return Poly(self, 1, {1: 1})
 
     def parse(self, text: str) -> "Poly":
         p = _read_printed(self, text.strip())
@@ -141,60 +260,72 @@ def _grade_key(exps: tuple[int, ...]):
 
 
 class Poly:
-    """A sparse multivariate polynomial; immutable after construction."""
+    """A sparse multivariate polynomial ``nums / den``; immutable after construction."""
 
-    __slots__ = ("ring", "terms", "_text")
+    __slots__ = ("ring", "den", "nums", "_text")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Scalar],
+    def __init__(self, ring: PolyRing, den: int, nums: dict[int, int],
                  text: str | None = None):
         self.ring = ring
-        self.terms = terms
+        self.den = den       # positive, coprime to the numerators together
+        self.nums = nums     # packed key -> nonzero int numerator
         self._text = text    # the printed text, once printed or confirmed by the reader
 
     # -- predicates and views ---------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """``{exponents: Scalar}``, built on each call; for readers outside the kernels."""
+        field, den = self.ring.field, self.den
+        vectors: dict[tuple[int, ...], list[int]] = {}
+        for key, n in self.nums.items():
+            exps, z = split_key(key, self.ring.nvars)
+            vectors.setdefault(exps, [0] * field.degree)[z] = n
+        return {exps: Scalar(field, tuple(Fraction(n, den) for n in vector))
+                for exps, vector in vectors.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_one(self) -> bool:
-        return self.constant_value() is not None and self.as_scalar().is_one()
+        return self.den == 1 and len(self.nums) == 1 and self.nums.get(0) == 1
 
     def constant_value(self) -> Scalar | None:
         """The scalar value if this is a constant, else None."""
-        if not self.terms:
-            return self.ring.field.zero
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if all(e == 0 for e in exps):
-                return c
-        return None
-
-    def as_scalar(self) -> Scalar:
-        c = self.constant_value()
-        if c is None:
-            raise ContextError(f"{self} is not a constant")
-        return c
+        if any(key >> _SLOT_BITS for key in self.nums):
+            return None
+        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        nvars = self.ring.nvars
+        return max((sum(split_key(key, nvars)[0]) for key in self.nums), default=-1)
 
     def degree_in(self, var: str) -> int:
-        i = self.ring._index[var]
-        return max((e[i] for e in self.terms), default=-1)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: _grade_key(kv[0]), reverse=True)
+        shift = _SLOT_BITS * (self.ring._index[var] + 1)
+        return max(((key >> shift) & _SLOT_MASK for key in self.nums), default=-1)
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
-        if not self.terms:
+        if not self.nums:
             raise ZeroDivisionError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grade_key)
-        return exps, self.terms[exps]
+        terms = self.terms
+        exps = max(terms, key=_grade_key)
+        return exps, terms[exps]
+
+    def vanishes_at(self, point: dict[str, int]) -> bool:
+        """Whether the value at a point with integer coordinates is 0."""
+        values = [point[v] for v in self.ring.variables]
+        total = [0] * self.ring.field.degree
+        for key, n in self.nums.items():
+            exps, z = split_key(key, len(values))
+            for x, e in zip(values, exps):
+                n *= x ** e
+            total[z] += n
+        return not any(total)     # 1, zeta, ..., zeta^(deg-1) are independent over Q
 
     # -- ring operations --------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContextError(f"operands live in {self.ring!r} vs {other.ring!r}")
 
     def _coerce(self, other) -> "Poly | None":
@@ -209,20 +340,18 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in o.terms.items():
-            s = terms.get(exps)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return Poly(self.ring, terms)
+        den = self.den if self.den == o.den else lcm(self.den, o.den)
+        left, right = den // self.den, den // o.den
+        nums = dict(self.nums) if left == 1 else {k: n * left for k, n in self.nums.items()}
+        get = nums.get
+        for k, n in o.nums.items():
+            nums[k] = get(k, 0) + n * right
+        return normalised(self.ring, den, nums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly(self.ring, self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -237,26 +366,24 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.ring, out)
+        ring = self.ring
+        check_room(self.nums, ring)
+        check_room(o.nums, ring)
+        out: dict[int, int] = {}
+        get = out.get
+        right = o.nums.items()
+        for k1, n1 in self.nums.items():
+            for k2, n2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + n1 * n2
+        if ring.field.degree > 1:
+            fold(out, ring.folds)
+        return normalised(ring, self.den * o.den, out)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c) -> "Poly":
-        c = self.ring.field.scalar(c)
-        if c.is_zero():
-            return self.ring.zero
-        return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
+        return self * self.ring.const(c)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -266,8 +393,9 @@ class Poly:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __eq__(self, other) -> bool:
@@ -275,10 +403,10 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset((e, str(c)) for e, c in self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     # -- substitution and evaluation ---------------------------------------------
 
@@ -312,24 +440,18 @@ class Poly:
 
     def coefficient_in(self, var: str, k: int) -> "Poly":
         """The coefficient of var**k, as a polynomial with that slot cleared."""
-        i = self.ring._index[var]
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == k:
-                e = list(exps)
-                e[i] = 0
-                out[tuple(e)] = c
-        return Poly(self.ring, out)
+        shift = _SLOT_BITS * (self.ring._index[var] + 1)
+        return normalised(self.ring, self.den, {key - (k << shift): n
+                                                for key, n in self.nums.items()
+                                                if (key >> shift) & _SLOT_MASK == k})
 
     def coefficients_in(self, var: str) -> dict[int, "Poly"]:
-        i = self.ring._index[var]
-        buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            e = list(exps)
-            k = e[i]
-            e[i] = 0
-            buckets.setdefault(k, {})[tuple(e)] = c
-        return {k: Poly(self.ring, t) for k, t in buckets.items()}
+        shift = _SLOT_BITS * (self.ring._index[var] + 1)
+        buckets: dict[int, dict[int, int]] = {}
+        for key, n in self.nums.items():
+            k = (key >> shift) & _SLOT_MASK
+            buckets.setdefault(k, {})[key - (k << shift)] = n
+        return {k: normalised(self.ring, self.den, t) for k, t in buckets.items()}
 
     def divmod_in(self, var: str, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Long division by a divisor that is monic in ``var``."""
@@ -361,30 +483,59 @@ class Poly:
 
     def _print(self) -> str:
         """The canonical text: terms in descending graded-lex order."""
-        if not self.terms:
+        if not self.nums:
             return "0"
-        variables = self.ring.variables
-        parts = [_term_text(variables, e, c) for e, c in self.sorted_terms()]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p[0] == "-" else f" + {p}"
-        return out
+        ring = self.ring
+        groups: dict[int, dict[int, int]] = {}
+        for key, n in self.nums.items():
+            groups.setdefault(key >> _SLOT_BITS, {})[key & _SLOT_MASK] = n
+        terms = sorted(((_monomial(ring, mono), comps) for mono, comps in groups.items()),
+                       key=itemgetter(0), reverse=True)
+        return _joined([_term_text(mono, self.den, comps) for (_, mono), comps in terms])
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-def _term_text(variables: tuple[str, ...], exps: tuple[int, ...], coeff: Scalar) -> str:
-    """One nonzero term as the printer writes it, led by ``-`` when negative."""
-    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e)
-    cs = coeff.coeffs
-    if mono and not any(cs[1:]):     # a rational coefficient 1 or -1 is not written
-        if cs[0] == 1:
-            return mono
-        if cs[0] == -1:
-            return f"-{mono}"
-    text = str(coeff)
-    if coeff.n_terms() > 1:
+def _monomial(ring: PolyRing, mono: int) -> tuple:
+    """``(grade key, text)`` of the monomial with key ``mono << _SLOT_BITS``, memoised."""
+    entry = ring._monos.get(mono)
+    if entry is None:
+        exps = split_key(mono << _SLOT_BITS, ring.nvars)[0]
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ring.variables, exps) if e)
+        entry = ring._monos[mono] = (_grade_key(exps), text)
+    return entry
+
+
+def _joined(parts: list[str]) -> str:
+    """Signed pieces joined as the printer joins them, by `` + `` and `` - ``."""
+    return parts[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:])
+
+
+def _fraction_text(n: int, den: int) -> str:
+    """n / den in lowest terms, as ``str(Fraction)`` writes it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _term_text(mono: str, den: int, comps: dict[int, int]) -> str:
+    """One nonzero term as the printer writes it, led by ``-`` when negative.
+
+    ``comps`` maps each zeta power to its nonzero numerator over ``den``.
+    """
+    if mono and len(comps) == 1 and abs(comps.get(0, 0)) == den:
+        return mono if comps[0] > 0 else f"-{mono}"   # a rational 1 or -1 is not written
+    parts = []
+    for k in sorted(comps):
+        n, power = comps[k], "zeta" if k == 1 else f"zeta^{k}"
+        if k == 0:
+            parts.append(_fraction_text(n, den))
+        elif abs(n) == den:
+            parts.append(power if n > 0 else f"-{power}")
+        else:
+            parts.append(f"{_fraction_text(n, den)}*{power}")
+    text = _joined(parts)
+    if len(parts) > 1:
         text = f"({text})"
     return f"{text}*{mono}" if mono else text
 
@@ -394,46 +545,23 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
     p._check(q)
     if q.is_zero():
         raise DivisionError("exact division by zero")
-    quo_terms: dict[tuple[int, ...], Scalar] = {}
-    rem = p
+    ring = p.ring
     q_exps, q_coeff = q.leading()
+    inverse = ring.const(q_coeff.inverse())
+    quo = ring.zero
+    rem = p
     while not rem.is_zero():
         r_exps, r_coeff = rem.leading()
         diff = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(d < 0 for d in diff):
             raise DivisionError(
-                f"non-exact division: remainder term {Poly(p.ring, {r_exps: r_coeff})}",
+                f"non-exact division: remainder term {ring.monomial(r_exps, r_coeff)}",
                 remainder=rem,
             )
-        c = r_coeff / q_coeff
-        quo_terms[diff] = c
-        rem = rem - Poly(p.ring, {diff: c}) * q
-    return Poly(p.ring, quo_terms)
-
-
-def clear_denominators(field: ScalarField,
-                       polys: list[Poly]) -> tuple[int, tuple[int, ...], list]:
-    """Integer coefficients for exact arithmetic modulo Phi_r.
-
-    Returns ``(den, modulus, cleared)``: ``den`` is the lcm of every
-    coefficient denominator in ``polys`` (1 when there are none), ``modulus``
-    the coefficients of Phi_r below its leading 1 as ints, low degree first,
-    and ``cleared`` holds, per polynomial, its terms as ``(exponents,
-    vector)`` with ``vector`` the int components of den * coefficient.
-    Raises FieldError when the modulus is not integral, since integer
-    arithmetic modulo Phi_r needs it to be.
-    """
-    if any(c.denominator != 1 for c in field.modulus):
-        raise FieldError(f"modulus of {field} is not integral")
-    den = 1
-    for p in polys:
-        for coeff in p.terms.values():
-            for q in coeff.coeffs:
-                if q.denominator != 1:
-                    den = lcm(den, q.denominator)
-    cleared = [[(exps, [q.numerator * (den // q.denominator) for q in coeff.coeffs])
-                for exps, coeff in p.terms.items()] for p in polys]
-    return den, tuple(int(c) for c in field.modulus[:-1]), cleared
+        piece = ring.monomial(diff, r_coeff) * inverse
+        quo = quo + piece
+        rem = rem - piece * q
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +594,33 @@ MAX_TERM_PRODUCTS = 1000
 MAX_COEFF_BITS = 100
 
 
-def _scalar_bits(c: Scalar) -> int:
-    """Bits of the largest numerator or denominator among c's components."""
-    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in c.coeffs)
-
-
 def _coeff_bits(p: Poly) -> int:
-    return max(map(_scalar_bits, p.terms.values()), default=0)
+    """Bits of the widest numerator or denominator of p's coefficients in lowest terms."""
+    den, bits = p.den, 0
+    for n in p.nums.values():
+        g = gcd(n, den)
+        bits = max(bits, (n // g).bit_length(), (den // g).bit_length())
+    return bits
 
 
 def _budgeted_product(p: Poly, q: Poly, pos: int) -> Poly:
-    if len(p.terms) * len(q.terms) > MAX_TERM_PRODUCTS:
-        raise ParseError(f"product of {len(p.terms)} by {len(q.terms)} terms exceeds "
+    n, m = (len({key >> _SLOT_BITS for key in f.nums}) for f in (p, q))   # monomials
+    if n * m > MAX_TERM_PRODUCTS:
+        raise ParseError(f"product of {n} by {m} terms exceeds "
                          f"{MAX_TERM_PRODUCTS} term products", pos)
     if _coeff_bits(p) + _coeff_bits(q) - 1 > MAX_COEFF_BITS:
         raise ParseError(f"product coefficients may exceed {MAX_COEFF_BITS} bits", pos)
     return p * q
+
+
+def _numeral(text: str) -> tuple[int, int]:
+    """``n`` or ``n/m`` in lowest terms; raises as ``Fraction`` does, in its order."""
+    num, _, den = text.partition("/")
+    n, d = int(num), int(den) if den else 1
+    if d == 0:
+        raise ZeroDivisionError(text)
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 _NUMERAL = re.compile(r"[0-9]+(?:/[0-9]+)?")
@@ -515,7 +654,7 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
             return None
         keys.append(op + pieces[i + 1])
     memo = ring._terms
-    out: dict[tuple[int, ...], Scalar] = {}
+    parts = []
     canonical = True
     last = None
     for key in keys:
@@ -525,22 +664,27 @@ def _read_printed(ring: PolyRing, text: str) -> Poly | None:
             if term is None:
                 return None
             memo[key] = term
-        exps, c, grade, printed = term
+        den, nums, grade, printed = term
         if canonical:
             canonical = printed and (last is None or grade < last)
             last = grade
-        if c is None:
-            continue
-        s = out.get(exps)
-        if s is None:
-            out[exps] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del out[exps]
-            else:
-                out[exps] = s
-    return Poly(ring, out, text if canonical else None)
+        if nums is not None:
+            parts.append((den, nums))
+    if len(parts) == 1:
+        den, nums = parts[0]
+        return Poly(ring, den, nums, text if canonical else None)
+    den = lcm(*(d for d, _ in parts))
+    out: dict[int, int] = {}
+    get = out.get
+    for d, nums in parts:
+        scale = den // d
+        for k, n in nums.items():
+            out[k] = get(k, 0) + n * scale
+    if canonical:
+        # distinct monomials: no sum cancels, and each term's own normal form
+        # keeps a numerator off every prime of the lcm
+        return Poly(ring, den, out, text)
+    return normalised(ring, den, out)
 
 
 def _join_groups(pieces: list[str]) -> list[str] | None:
@@ -560,32 +704,31 @@ def _join_groups(pieces: list[str]) -> list[str] | None:
 
 
 def _read_term(ring: PolyRing, key: str) -> tuple | None:
-    """``(exponents, coefficient, grade, printed)`` of one term, or None to decline.
+    """``(den, nums, grade, printed)`` of one term, or None to decline.
 
     ``key`` is a sign, ``+`` or ``-``, and then a ``*``-product of unsigned
     numerals ``n`` or ``n/m``, variables ``v`` or ``v^k`` and ``zeta`` or
     ``zeta^k``, optionally led by a parenthesised sum of such terms without
-    variables (a cyclotomic coefficient).  The coefficient is None when the
-    term is zero.  ``grade`` is the graded-lex key of the exponents, and
-    ``printed`` is true when the coefficient is nonzero and ``key`` is, sign
-    included, exactly what the printer writes for the term.  Exponents of
-    more than two digits, degrees above MAX_DEGREE, numerals ``Fraction``
-    rejects and terms whose coefficient the parser would find past
+    variables (a cyclotomic coefficient).  The term is ``nums / den``, with
+    ``nums`` None when it is zero; ``grade`` is its graded-lex key, and
+    ``printed`` true when ``key`` is, sign included, exactly what the printer
+    writes for the nonzero term.  The memo keeps no ``Poly``, so no ring
+    refers to itself.
+    Exponents of more than two digits, degrees above MAX_DEGREE, numerals
+    ``Fraction`` rejects and coefficients the parser would find past
     MAX_COEFF_BITS are declined.
     """
     body = key[1:]
-    field = ring.field
-    coeff = field.one
+    coeff = ring.one
     if body[:1] != "(":
         factors = body.split("*")
     else:
         close = body.find(")")
         if close < 0 or "(" in body[1:close]:
             return None
-        group = _read_printed(ring, body[1:close])
-        if group is None or any(any(e) for e in group.terms):
+        coeff = _read_printed(ring, body[1:close])
+        if coeff is None or any(k >> _SLOT_BITS for k in coeff.nums):
             return None
-        coeff = group.constant_value()
         rest = body[close + 1:]
         if rest[:1] not in ("", "*"):
             return None
@@ -593,9 +736,10 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
     exps = [0] * ring.nvars
     degree = 0
     # the coefficient is multiplied up factor by factor, as the parser does,
-    # and declined where the parser's coefficient-bit check would fail;
-    # bits is 0 while the coefficient is still the implicit 1
-    bits = _scalar_bits(coeff) if body[:1] == "(" else 0
+    # and declined where the parser's coefficient-bit check would fail; bits
+    # is 0 while the coefficient is still the implicit 1, and a coefficient
+    # 0 counts 1 bit, as its denominator does
+    bits = max(_coeff_bits(coeff), 1) if body[:1] == "(" else 0
     for factor in factors:
         base, caret, power = factor.partition("^")
         k = 1
@@ -607,7 +751,7 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
                 return None
         value = None                     # a variable has coefficient 1
         if base == "zeta":
-            value = field.zeta ** k
+            value = ring.zeta ** k
         elif base in ring._index:
             exps[ring._index[base]] += k
             degree += k
@@ -617,22 +761,25 @@ def _read_term(ring: PolyRing, key: str) -> tuple | None:
             return None
         else:
             try:
-                value = field.scalar(Fraction(base))
+                n, d = _numeral(base)
             except (ValueError, ZeroDivisionError):   # too many digits, or n/0
                 return None
-        size = 1 if value is None else _scalar_bits(value)
+            value = normalised(ring, d, {0: n})
+        size = 1 if value is None else max(_coeff_bits(value), 1)
         if size > MAX_COEFF_BITS or (bits and bits + size - 1 > MAX_COEFF_BITS):
             return None
         if value is not None:
             coeff = coeff * value if bits else value
-            bits = _scalar_bits(coeff)
-    if key[0] == "-":
-        coeff = -coeff
-    exps = tuple(exps)
-    if coeff.is_zero():
-        return exps, None, None, False
-    text = _term_text(ring.variables, exps, coeff)
-    return exps, coeff, _grade_key(exps), key == (text if text[0] == "-" else "+" + text)
+            bits = max(_coeff_bits(coeff), 1)
+    if not coeff.nums:
+        return 1, None, None, False
+    mono = _pack(exps)
+    sign = -1 if key[0] == "-" else 1
+    comps = {z: sign * n for z, n in coeff.nums.items()}
+    grade, mono_text = _monomial(ring, mono >> _SLOT_BITS)
+    text = _term_text(mono_text, coeff.den, comps)
+    return (coeff.den, {mono + z: n for z, n in comps.items()}, grade,
+            key == (text if text[0] == "-" else "+" + text))
 
 
 _TOKEN = re.compile(
@@ -728,18 +875,17 @@ class _Parser:
         kind, val, pos = self.take()
         if kind == "num":
             try:
-                numeral = Fraction(val)
+                n, d = _numeral(val)
             except ValueError:   # more digits than int() converts
                 raise ParseError(f"number of {len(val)} characters is too long", pos) from None
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {val!r}", pos) from None
-            if max(numeral.numerator.bit_length(), numeral.denominator.bit_length()) \
-                    > MAX_COEFF_BITS:
+            if max(n.bit_length(), d.bit_length()) > MAX_COEFF_BITS:
                 raise ParseError(f"number {val[:20]}... exceeds {MAX_COEFF_BITS} bits", pos)
-            return self.ring.const(numeral)
+            return normalised(self.ring, d, {0: n})
         if kind == "name":
             if val == "zeta":
-                return self.ring.const(self.ring.field.zeta)
+                return self.ring.zeta
             try:
                 return self.ring.var(val)
             except ContextError:

@@ -1,11 +1,15 @@
-"""Exact scalar arithmetic: rationals and their cyclotomic extensions.
+"""Exact scalar fields, the rationals and their cyclotomic extensions.
 
 A scalar field here is Q[t]/(Phi_r(t)) where Phi_r is the r-th cyclotomic
 polynomial.  For r = 1 or 2 the quotient is Q itself (with the distinguished
 root of unity 1 resp. -1); for larger r it is a proper extension carrying a
-primitive r-th root of unity ``zeta``.  Elements are kept in canonical form:
-coefficient vectors of length deg(Phi_r) over reduced fractions, so equality
-is syntactic.
+primitive r-th root of unity ``zeta``.  :class:`ScalarField` describes the
+field: its order, Phi_r and degree.  A :class:`Scalar` is one field element,
+a coefficient vector of length deg(Phi_r) over reduced fractions, so
+equality is syntactic.  Polynomials do not store scalars (they hold one
+integer form, see ``polynomials``): a Scalar is what ``PolyRing.const``
+takes, what ``roots_of_unity`` returns and what ``Poly.evaluate`` and
+``Poly.constant_value`` give back.
 """
 
 from __future__ import annotations
@@ -206,9 +210,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -335,10 +336,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    def n_terms(self) -> int:
-        """Number of nonzero zeta-power components (printing hint)."""
-        return sum(1 for c in self.coeffs if c != 0)
 
 
 def roots_of_unity(field: ScalarField, r: int) -> list[Scalar]:

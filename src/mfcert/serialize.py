@@ -251,7 +251,7 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
             if len(values) != len(cols):
                 raise FileFormatError(
                     f"row has {len(values)} entries, expected {len(cols)}", line_no)
-            rows[i] = tuple((j, p) for j, p in zip(cols, values) if p.terms)
+            rows[i] = tuple((j, p) for j, p in zip(cols, values) if p.nums)
     # the block tags admit only entries of this parity, parsed in this ring
     return name, ParityMap._from_rows(source, target, parity, rows)
 

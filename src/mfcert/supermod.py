@@ -9,34 +9,30 @@ once per nonzero entry, and every kernel walks the nonzero entries only.
 Matrices act on column vectors, composition is left multiplication, and
 tensor products follow the Koszul sign rule.
 
-Composition runs on an integer form of each map, built on first use and
-cached: one map-wide denominator D (the lcm of all coefficient
-denominators), and per nonzero entry the terms of D * entry as ``(key, n)``
-pairs with n an int.  A key packs the exponents of a monomial into 16-bit
-slots, above a lowest slot that holds the power of zeta n multiplies (always
-0 over Q), so a monomial product is one integer add (the packed exponent
-vectors of Monagan and Pearce) and Q and Q(zeta_r) share one kernel.  Zeta
-powers of deg(Phi_r) and up are folded back by the monic integral Phi_r at
-the end of each output row, and each output coefficient is built once, over
-the denominator D_left * D_right.
+Composition runs on the integer form every ``Poly`` already has (one
+denominator over packed keys with int numerators, see ``polynomials``),
+brought to one map-wide denominator D, the lcm of the entries'
+denominators: an entry whose denominator is D is used as stored, any other
+is scaled once, and the result is cached.  A monomial product is one
+integer add of two keys, so Q and Q(zeta_r) share one kernel.  Zeta powers
+of deg(Phi_r) and up are folded back by Phi_r at the end of each output
+row, and each output entry is built once, over the denominator
+D_left * D_right.
 
 Identity checks build no product: :func:`residual` accumulates a signed sum
 of products and maps minus c * id row by row on the same integer forms, with
-the row accumulator and coefficient builder ``compose`` uses, over the lcm
-of the terms' denominators.  It stops at the first nonzero entry and builds
+the row accumulator ``compose`` uses, over the lcm of the terms'
+denominators.  It stops at the first nonzero entry and builds
 only that one as a polynomial; c * id is a diagonal term, never a map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 
-from .polynomials import Poly, PolyRing, clear_denominators
-from .scalars import Scalar
+from .polynomials import Poly, PolyRing, check_room, fold, normalised
 
 EVEN = 0
 ODD = 1
@@ -44,13 +40,6 @@ ODD = 1
 Row = tuple[tuple[int, Poly], ...]   # nonzero (column, entry) pairs, columns ascending
 
 _column = itemgetter(0)
-
-# Packed monomial keys (see ParityMap._integer_form): one slot per variable
-# above a lowest slot for the power of zeta.  A product adds two keys, so no
-# slot may carry into the next one: every exponent stays below half a slot.
-_SLOT_BITS = 16
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-_SLOT_HALF = 1 << (_SLOT_BITS - 1)
 
 
 class ShapeError(ValueError):
@@ -122,7 +111,7 @@ def _accumulate(row: dict[int, Poly], col: int, p: Poly):
         row[col] = p
         return
     s = q + p
-    if s.terms:
+    if s.nums:
         row[col] = s
     else:
         del row[col]
@@ -132,69 +121,10 @@ def _sorted_row(row: dict[int, Poly]) -> Row:
     return tuple(sorted(row.items(), key=_column))
 
 
-def _pack(exps: tuple[int, ...]) -> int:
-    """The key of a monomial, with the zeta slot empty."""
-    key = 0
-    for e in reversed(exps):
-        if e >= _SLOT_HALF:
-            raise OverflowError(f"exponent {e} does not fit a {_SLOT_BITS}-bit slot "
-                                f"with room for a product")
-        key = (key | e) << _SLOT_BITS
-    return key
-
-
-def _unpack(mono: int, nvars: int) -> tuple[int, ...]:
-    """The exponents of a key shifted past its zeta slot."""
-    exps = []
-    for _ in range(nvars):
-        exps.append(mono & _SLOT_MASK)
-        mono >>= _SLOT_BITS
-    return tuple(exps)
-
-
-@lru_cache(maxsize=None)
-def _zeta_folds(modulus: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """t^deg, ..., t^(2 deg - 2) reduced modulo the monic integral Phi_r.
-
-    ``modulus`` holds the coefficients of Phi_r below its leading 1; entry
-    z - deg of the result is the coefficient vector of t^z, low degree first.
-    These are the zeta powers a product of two reduced coefficients reaches.
-    """
-    deg = len(modulus)
-    folds = []
-    power = [0] * (deg - 1) + [1]          # t^(deg-1)
-    for _ in range(deg - 1):
-        top = power[-1]                    # t * power, then t^deg = -sum m_i t^i
-        power = [0] + power[:-1]
-        power = [x - top * m for x, m in zip(power, modulus)]
-        folds.append(tuple(power))
-    return tuple(folds)
-
-
-def _packed_terms(field, polys: list[Poly]) -> tuple[int, tuple[int, ...], list]:
-    """``(D, modulus, terms)``: per polynomial, D * it as ``(key, n)`` pairs.
-
-    D is the lcm of the denominators of all ``polys``; see
-    :meth:`ParityMap._integer_form` for the keys.
-    """
-    den, modulus, cleared = clear_denominators(field, polys)
-    keys: dict[tuple[int, ...], int] = {}
-    out = []
-    for poly in cleared:
-        terms = []
-        for exps, vector in poly:
-            mono = keys.get(exps)
-            if mono is None:
-                mono = keys[exps] = _pack(exps)
-            terms.extend((mono + z, n) for z, n in enumerate(vector) if n)
-        out.append(tuple(terms))
-    return den, modulus, out
-
-
-# -- the row accumulator and coefficient builder shared by compose and residual --
+# -- the row accumulator shared by compose and residual --
 #
 # One output row is a dict column -> bucket, and a bucket a dict key -> int:
-# the coefficients of one entry over a common denominator, zeta powers up to
+# the numerators of one entry over a common denominator, zeta powers up to
 # 2 deg - 2 until the bucket is folded.
 
 def _add_products(acc: dict, row, right, scale: int):
@@ -224,65 +154,6 @@ def _add_terms(acc: dict, j: int, terms, scale: int):
     get = bucket.get
     for key, n in terms:
         bucket[key] = get(key, 0) + n * scale
-
-
-def _fold(bucket: dict[int, int], folds):
-    """Fold zeta powers of deg and up back below deg by Phi_r, in place.
-
-    ``folds`` is ``_zeta_folds(modulus)``, one vector per power from deg to
-    2 deg - 2; it is empty when deg = 1, as over Q, and there is nothing to fold.
-    """
-    deg = len(folds) + 1
-    for key, c in list(bucket.items()):
-        z = key & _SLOT_MASK
-        if z >= deg and c:
-            base = key - z
-            for i, m in enumerate(folds[z - deg]):
-                if m:
-                    bucket[base + i] = bucket.get(base + i, 0) + c * m
-            bucket[key] = 0
-
-
-class _PolyBuilder:
-    """Polynomials from folded buckets over one denominator.
-
-    Each exponent tuple and each coefficient vector is built once per
-    builder, so equal coefficients are shared within one result.
-    """
-
-    __slots__ = ("ring", "den", "exps_of", "scalars")
-
-    def __init__(self, ring: PolyRing, den: int):
-        self.ring = ring
-        self.den = den
-        self.exps_of: dict[int, tuple[int, ...]] = {}
-        self.scalars: dict[tuple[int, ...], Scalar] = {}
-
-    def __call__(self, bucket: dict[int, int]) -> Poly | None:
-        """The polynomial of a folded bucket, or None when every coefficient is 0."""
-        ring, field = self.ring, self.ring.field
-        deg = field.degree
-        vectors: dict[int, list[int]] = {}
-        for key, c in bucket.items():
-            if c:
-                vector = vectors.get(key >> _SLOT_BITS)
-                if vector is None:
-                    vector = vectors[key >> _SLOT_BITS] = [0] * deg
-                vector[key & _SLOT_MASK] = c
-        if not vectors:
-            return None
-        exps_of, scalars, den = self.exps_of, self.scalars, self.den
-        terms = {}
-        for mono, vector in vectors.items():
-            exps = exps_of.get(mono)
-            if exps is None:
-                exps = exps_of[mono] = _unpack(mono, ring.nvars)
-            vector = tuple(vector)
-            c = scalars.get(vector)
-            if c is None:
-                c = scalars[vector] = Scalar(field, tuple(Fraction(n, den) for n in vector))
-            terms[exps] = c
-        return Poly(ring, terms)
 
 
 def _add_rows(r1: Row, r2: Row) -> Row:
@@ -322,7 +193,7 @@ class ParityMap:
         for i, row in enumerate(dense):
             sparse = []
             for j, p in enumerate(row):
-                if not p.terms:
+                if not p.nums:
                     continue
                 if p.ring is not ring and p.ring != ring:
                     raise ShapeError(f"entry ({i},{j}) lives in the wrong ring")
@@ -404,7 +275,7 @@ class ParityMap:
             out = []
             for j, p in row:
                 q = fn(p)
-                if q.terms:
+                if q.nums:
                     out.append((j, q))
             rows.append(tuple(out))
         return ParityMap._from_rows(self.source, self.target, self.parity, rows)
@@ -432,15 +303,15 @@ class ParityMap:
         of dense slots.  Each term product is one int multiply and one key
         add on the integer forms of the two maps; zeta powers of deg and up
         are folded back by Phi_r at the end of each row, and every output
-        coefficient is built once, over the denominator D_self * D_other.
+        entry is built once, over the denominator D_self * D_other.
         """
         if other.target != self.source:
             raise ShapeError(f"cannot compose: {other.target!r} != {self.source!r}")
         ring = self.source.ring
-        den_left, modulus, left = self._integer_form()
-        den_right, _, right = other._integer_form()
-        folds = _zeta_folds(modulus)
-        build = _PolyBuilder(ring, den_left * den_right)
+        den_left, left = self._integer_form()
+        den_right, right = other._integer_form()
+        folds = ring.folds
+        den = den_left * den_right
         out = []
         for row in left:
             acc: dict[int, dict[int, int]] = {}
@@ -449,30 +320,35 @@ class ParityMap:
             for j in sorted(acc):
                 bucket = acc[j]
                 if folds:
-                    _fold(bucket, folds)
-                p = build(bucket)
-                if p is not None:
+                    fold(bucket, folds)
+                p = normalised(ring, den, bucket)
+                if p.nums:
                     entries.append((j, p))
             out.append(tuple(entries))
         return ParityMap._from_rows(other.source, self.target,
                                     (self.parity + other.parity) % 2, out)
 
     def _integer_form(self):
-        """``(D, modulus, rows)``: the map over the integers, built once and cached.
+        """``(D, rows)``: the map over the integers, built once and cached.
 
-        D is the lcm of all coefficient denominators and ``modulus`` the
-        integral Phi_r below its leading 1.  ``rows[i]`` holds the nonzero
-        ``(column, terms)`` pairs of row i, where ``terms`` are ``(key, n)``
-        pairs: n is an int component of D * coefficient, and ``key`` packs
-        the monomial's exponents into ``_SLOT_BITS``-wide slots above a lowest
-        slot holding the power of zeta that n multiplies (always 0 over Q).
+        D is the lcm of the entries' denominators.  ``rows[i]`` holds the
+        nonzero ``(column, terms)`` pairs of row i, where ``terms`` are the
+        ``(key, n)`` pairs of D * entry: the entry's own ``nums`` when its
+        denominator is D.  Raises OverflowError when an exponent has no room
+        for a product (see ``polynomials.check_room``).
         """
         if self._ints is None:
-            den, modulus, packed = _packed_terms(
-                self.source.ring.field, [p for row in self.rows for _, p in row])
-            terms = iter(packed)
-            rows = tuple(tuple((j, next(terms)) for j, _ in row) for row in self.rows)
-            self._ints = (den, modulus, rows)
+            den = lcm(*(p.den for row in self.rows for _, p in row))
+            rows = []
+            for row in self.rows:
+                out = []
+                for j, p in row:
+                    check_room(p.nums, self.source.ring)
+                    scale = den // p.den
+                    out.append((j, p.nums.items() if scale == 1 else
+                                [(k, n * scale) for k, n in p.nums.items()]))
+                rows.append(tuple(out))
+            self._ints = (den, tuple(rows))
         return self._ints
 
     def __add__(self, other: "ParityMap") -> "ParityMap":
@@ -490,10 +366,8 @@ class ParityMap:
 
     def scale(self, c) -> "ParityMap":
         """Multiply every entry by a polynomial or an int, Fraction or Scalar (an even operation)."""
-        if isinstance(c, (int, Fraction, Scalar)):
-            c = self.source.ring.const(c)
         if not isinstance(c, Poly):
-            raise TypeError(f"cannot scale by {c!r}")
+            c = self.source.ring.const(c)
         return self.entrywise(lambda p: p * c)
 
     # -- structural operations ------------------------------------------------------
@@ -574,24 +448,22 @@ def _residual(products, maps, diagonal):
         return c, FRAME_MISMATCH
     target = frames[0][1]
     ring = target.ring
-    field = ring.field
     learn = diagonal is not None and c is None   # c is entry (0, 0) of the sum
-    den, diag = 1, ()
+    den, diag = 1, {}
     if diagonal is not None and not learn:
-        den, modulus, (diag,) = _packed_terms(field, [c])
+        den, diag = c.den, c.nums
     dc = den
     prods = [(s, a._integer_form(), b._integer_form()) for s, a, b in products]
     adds = [(s, m._integer_form()) for s, m in maps]
-    # every integer form carries the modulus of the one field
-    for _, (da, modulus, _), (db, _, _) in prods:
+    for _, (da, _), (db, _) in prods:
         den = lcm(den, da * db)
-    for _, (dm, modulus, _) in adds:
+    for _, (dm, _) in adds:
         den = lcm(den, dm)
-    folds = _zeta_folds(modulus)
-    diag = [(key, n * (den // dc)) for key, n in diag]
+    folds = ring.folds
+    diag = [(key, n * (den // dc)) for key, n in diag.items()]
     prods = [(a_rows, b_rows, s * (den // (da * db)))
-             for s, (da, _, a_rows), (db, _, b_rows) in prods]
-    adds = [(rows, s * (den // dm)) for s, (dm, _, rows) in adds]
+             for s, (da, a_rows), (db, b_rows) in prods]
+    adds = [(rows, s * (den // dm)) for s, (dm, rows) in adds]
     if learn:
         c = ring.zero
     for i in range(target.total_rank):
@@ -605,40 +477,22 @@ def _residual(products, maps, diagonal):
             if learn and i == 0:
                 bucket = acc.get(0, {})
                 if folds:
-                    _fold(bucket, folds)
+                    fold(bucket, folds)
                 diag = [(key, n) for key, n in bucket.items() if n]
-                if diag:
-                    c = _PolyBuilder(ring, den)(bucket)
+                c = normalised(ring, den, bucket)
             _add_terms(acc, i, diag, -1)
         for j in sorted(acc):
             bucket = acc[j]
             if folds:
-                _fold(bucket, folds)
+                fold(bucket, folds)
             if any(bucket.values()):
-                return c, ((i, j), _PolyBuilder(ring, den)(bucket))
+                return c, ((i, j), normalised(ring, den, bucket))
     return c, None
 
 
 # -----------------------------------------------------------------------------
-# module-level operations mirroring the structural calculus
+# module-level constructions
 # -----------------------------------------------------------------------------
-
-def compose(f: ParityMap, g: ParityMap) -> ParityMap:
-    return f.compose(g)
-
-
-def dual(x):
-    """Dual of a module (self-dual here) or transpose of a map."""
-    if isinstance(x, SuperModule):
-        return x
-    return x.transposed()
-
-
-def shift(x):
-    if isinstance(x, SuperModule):
-        return x.shifted()
-    return x.shifted()
-
 
 def parity_unit(module: SuperModule) -> ParityMap:
     """The odd map shifted(module) -> module that is the identity underneath."""

@@ -12,7 +12,7 @@ import pytest
 
 from mfcert import (ChainMap, LambdaFamily, ODD, OrthoSection, ParityMap,
                     PolyRing, SupportLocus, TwistFamily,
-                    clifford_square, compose, cone, cone_lift,
+                    clifford_square, cone, cone_lift,
                     cyclotomic_coupling, cyclotomic_field, is_homotopy,
                     lemma1_build, lemma2_build, parity_unit, rationals,
                     remark_decompose, roots_of_unity, s_lambda_check,
@@ -226,11 +226,11 @@ def test_criterion_7_cone_lift_suite():
         f = ChainMap(inst.b, inst.c, inst.f)
         lift = cone_lift(g, f, inst.h)
         cn = cone(g)
-        assert compose(lift.map, cn.inclusion.map) == inst.f
+        assert lift.map.compose(cn.inclusion.map) == inst.f
         k = _random_odd_map(rng, inst.a.module, inst.c.module)
         lift2 = cone_lift(g, f, inst.h + k)
         assert lift2.map - lift.map == \
-            compose(compose(k, parity_unit(inst.a.module)), cn.projection.map)
+            k.compose(parity_unit(inst.a.module)).compose(cn.projection.map)
         runs += 1
     # contractible totals provide witnesses with nonzero differentials
     for seed in range(12):
@@ -243,10 +243,10 @@ def test_criterion_7_cone_lift_suite():
         ident = ChainMap(w, w, ParityMap.identity(w.module))
         lift = cone_lift(ident, ident, res.homotopy.h)
         cn = cone(ident)
-        assert compose(lift.map, cn.inclusion.map) == ident.map
+        assert lift.map.compose(cn.inclusion.map) == ident.map
         lift2 = cone_lift(ident, ident, res.homotopy.h + w.d)
         assert lift2.map - lift.map == \
-            compose(compose(w.d, parity_unit(w.module)), cn.projection.map)
+            w.d.compose(parity_unit(w.module)).compose(cn.projection.map)
         runs += 1
     report(7, runs >= 50,
            f"{runs} lifting instances: restriction equality and the "

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcert import (OrthoSection, ParityMap, PolyRing, clifford_action,
-                    clifford_square, compose, contraction_operator, rationals,
+                    clifford_square, contraction_operator, rationals,
                     spinor_module, spinor_split, wedge_operator)
 from mfcert.generators import _rand_poly
 from mfcert.supermod import ShapeError
@@ -47,7 +47,7 @@ def test_rank_two_disjoint_supports_square_zero():
                      (RING.zero, RING.parse("y")))
     act = clifford_action(s, spinor)
     assert clifford_square(s, spinor).is_zero()
-    assert compose(act, act).is_zero()
+    assert act.compose(act).is_zero()
     assert act.source.total_rank == 4
 
 
@@ -120,8 +120,8 @@ def test_wedge_and_contraction_square_to_zero():
     coeffs = tuple(_rand_poly(rng, RING, VARS) for _ in range(3))
     w = wedge_operator(sp, coeffs)
     c = contraction_operator(sp, coeffs)
-    assert compose(w, w).is_zero()
-    assert compose(c, c).is_zero()
+    assert w.compose(w).is_zero()
+    assert c.compose(c).is_zero()
 
 
 def test_extended_square_includes_the_product():
@@ -139,9 +139,9 @@ def test_spinor_split_shapes_and_roundtrip():
         ext = spinor_module(RING, n, extended=True)
         split = spinor_split(ext)
         assert split.summand.even_rank == 2 ** n
-        assert compose(split.to_sum, split.from_sum) == \
+        assert split.to_sum.compose(split.from_sum) == \
             ParityMap.identity(split.summand)
-        assert compose(split.from_sum, split.to_sum) == \
+        assert split.from_sum.compose(split.to_sum) == \
             ParityMap.identity(ext.module)
 
 

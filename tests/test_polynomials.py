@@ -312,3 +312,15 @@ def test_reader_memo_is_inert(case, other):
     hit = ring.parse(text)
     assert len(ring._terms) == size      # every term came from the memo
     assert hit == first == PolyRing(ring.field, READER_VARS).parse(text)
+
+
+def test_product_past_half_a_slot_raises():
+    # packed keys hold each exponent in a 16-bit slot: a factor with an
+    # exponent of 2^15 or more could carry into the next variable's slot
+    ring = PolyRing(rationals(), ("x", "y"))
+    x = ring.var("x")
+    with pytest.raises(OverflowError, match="slot"):
+        x ** 40000
+    half = 1 << 15
+    assert x ** (half - 1) * x ** (half - 1) == ring.monomial((2 * half - 2, 0))
+    assert (x ** (half - 1) * x ** (half - 1)).degree_in("y") == 0

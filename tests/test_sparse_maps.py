@@ -13,7 +13,8 @@ from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, FieldError,
                     filtration_verify)
 from mfcert.complexes import _IntegerBlock, graded_slice
 from mfcert.scalars import Scalar, ScalarField
-from mfcert.supermod import _SLOT_BITS, assemble, direct_sum_modules, residual
+from mfcert.polynomials import _SLOT_BITS
+from mfcert.supermod import assemble, direct_sum_modules, residual
 from reference import (dense_add, dense_compose, dense_neg, dense_scale,
                        dense_shift, dense_transpose, first_nonzero, ref,
                        ref_found, refs)
