@@ -326,6 +326,10 @@ class SampleReport:
         return self.ok
 
 
+# rank modulo this prime is the sampler's lower bound for a rank over Q
+_PRIME = 2147483647   # 2^31 - 1
+
+
 def _bareiss_rank(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix, by fraction-free elimination.
 
@@ -357,71 +361,153 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _rank_mod_prime(rows: list[dict[int, int]]) -> int:
+    """Rank modulo ``_PRIME`` of a sparse integer matrix, rows ``{column: int}``.
+
+    A lower bound for the rank over Q: a minor that is nonzero modulo the
+    prime is nonzero.  Each row is reduced by the stored pivot rows, at its
+    leading column, until it is zero or leads at a new pivot column.
+    """
+    p = _PRIME
+    pivots: dict[int, dict[int, int]] = {}   # column -> row with 1 there
+    for row in rows:
+        row = {j: x % p for j, x in row.items() if x % p}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[col]
+            for j, y in pivot.items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return len(pivots)
+
+
+def _product_is_zero(left: list[dict[int, int]], right: list[dict[int, int]],
+                     width: int) -> bool:
+    """Whether left * right is zero; sparse integer rows ``{column: int}``, right ``width`` wide."""
+    for row in left:
+        acc = [0] * width
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] += a * b
+        if any(acc):
+            return False
+    return True
+
+
 class _IntegerBlock:
     """A polynomial matrix over Q(zeta_r), prepared for exact rank at integer points.
 
-    Each row is scaled by the lcm of its entries' denominators, which leaves
-    the rank unchanged, so evaluation at an integer point is integer
-    arithmetic on the entries' numerators and yields a coefficient vector of
-    length deg per entry.  An entry a is expanded into its deg x deg
-    multiplication matrix, the regular representation of Q(zeta_r) over Q
-    (1x1 for Q); the rank over the field is the integer rank of the
-    expansion divided by deg.
+    The entries are brought to one denominator, the lcm of theirs, which
+    scales the matrix and so keeps its rank and its zero products; then
+    evaluation at an integer point is integer arithmetic on the entries'
+    numerators and yields a coefficient vector of length deg per entry.  An
+    entry a is expanded into its deg x deg multiplication matrix, the regular
+    representation of Q(zeta_r) over Q (1x1 for Q).  That is an injective
+    ring homomorphism, so a product of two blocks is zero iff the product of
+    their expansions is, and the rank over the field is the rank over Q of
+    the expansion divided by deg.
     """
 
     def __init__(self, rows: list[Row], ncols: int, field: ScalarField, nvars: int):
         """``rows`` are sparse: nonzero ``(column, Poly)`` pairs, columns below ``ncols``."""
         self.modulus = int_modulus(field)
         self.deg = field.degree
-        self.ncols = ncols
-        self.max_exp = [0] * nvars
+        self.width = ncols * self.deg
+        den = lcm(*(p.den for row in rows for _, p in row))
+        index: dict[tuple[int, ...], int] = {}   # exponents -> monomial number
+        slots: dict[int, tuple[int, int]] = {}   # key -> (monomial number, zeta power)
         self.rows = []
         for row in rows:
-            den = lcm(*(p.den for _, p in row))
             entries = []
             for j, p in row:
                 scale = den // p.den
                 terms = []
                 for key, n in p.nums.items():
-                    exps, z = split_key(key, nvars)
-                    self.max_exp = [max(a, b) for a, b in zip(self.max_exp, exps)]
-                    terms.append((tuple((v, e) for v, e in enumerate(exps) if e), z, n * scale))
+                    slot = slots.get(key)
+                    if slot is None:
+                        exps, z = split_key(key, nvars)
+                        slot = slots[key] = (index.setdefault(exps, len(index)), z)
+                    terms.append((*slot, n * scale))
                 entries.append((j, terms))
             self.rows.append(entries)
+        self.monomials = [tuple((v, e) for v, e in enumerate(exps) if e) for exps in index]
+        self.max_exp = [max((exps[v] for exps in index), default=0) for v in range(nvars)]
 
-    def rank(self, values: list[int]) -> int:
-        """Rank over the field of the matrix evaluated at the given variable values."""
-        deg, modulus, width = self.deg, self.modulus, self.ncols * self.deg
+    def evaluate(self, values: list[int]) -> list[dict[int, int]]:
+        """The expansion at the given variable values, as sparse rows ``{column: int}``."""
         powers = []
         for x, top in zip(values, self.max_exp):
             table = [1]
             for _ in range(top):
                 table.append(table[-1] * x)
             powers.append(table)
+        monomials = []
+        for mono in self.monomials:
+            c = 1
+            for v, e in mono:
+                c *= powers[v][e]
+            monomials.append(c)
+        deg, modulus = self.deg, self.modulus
         expanded = []
         for entries in self.rows:
-            block = [[0] * width for _ in range(deg)]
+            block = [{} for _ in range(deg)]
             for j, terms in entries:
                 value = [0] * deg
-                for mono, z, c in terms:
-                    for v, e in mono:
-                        c *= powers[v][e]
-                    value[z] += c
+                for m, z, c in terms:
+                    value[z] += c * monomials[m]
                 # row k of the multiplication matrix is value * t^k reduced mod Phi_r
-                for k in range(deg):
+                for k, out in enumerate(block):
                     if k:
                         top = value[-1]
                         value = [0] + value[:-1]
                         if top:
                             value = [x - top * m for x, m in zip(value, modulus)]
-                    block[k][j * deg:(j + 1) * deg] = value
+                    for t, x in enumerate(value, j * deg):
+                        if x:
+                            out[t] = x
             expanded.extend(block)
-        rank_q = _bareiss_rank(expanded)
-        if rank_q % deg:
+        return expanded
+
+    def field_rank(self, rank_q: int) -> int:
+        """The rank over the field of a matrix whose expansion has rank ``rank_q`` over Q."""
+        if rank_q % self.deg:
             raise ArithmeticError(
                 f"rank {rank_q} over Q of the expanded matrix is not a multiple "
-                f"of the field degree {deg}")
-        return rank_q // deg
+                f"of the field degree {self.deg}")
+        return rank_q // self.deg
+
+    def rank(self, values: list[int]) -> int:
+        """Rank over the field at the given variable values, by :func:`_bareiss_rank`."""
+        width = self.width
+        return self.field_rank(_bareiss_rank(
+            [[row.get(j, 0) for j in range(width)] for row in self.evaluate(values)]))
+
+
+def _point_ranks(d_plus: _IntegerBlock, d_minus: _IntegerBlock,
+                 values: list[int]) -> tuple[int, int]:
+    """Exact ranks over the field of the two odd blocks at an integer point.
+
+    The ranks modulo ``_PRIME`` of the expansions are lower bounds.  If both
+    products d+ d- and d- d+ are zero, the image of each block lies in the
+    kernel of the other, so rank(d+) + rank(d-) is at most the number of
+    rows of either block; modular ranks that reach that bound are the ranks
+    over Q.  Otherwise both ranks are Bareiss ranks.
+    """
+    plus, minus = d_plus.evaluate(values), d_minus.evaluate(values)
+    rp, rm = _rank_mod_prime(plus), _rank_mod_prime(minus)
+    if (rp + rm == min(len(plus), len(minus))
+            and _product_is_zero(plus, minus, d_minus.width)
+            and _product_is_zero(minus, plus, d_plus.width)):
+        return d_plus.field_rank(rp), d_minus.field_rank(rm)
+    return d_plus.rank(values), d_minus.rank(values)
 
 
 def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
@@ -433,12 +519,20 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     constancy across samples stands in for strictness.  This is a diagnostic:
     the certificate layer only accepts homotopy-based exactness proofs.
 
-    Ranks are exact.  Only the nonzero entries of the two odd blocks d+ and
-    d- are evaluated, in integers: each row is brought to one denominator
-    once, and powers of the point's coordinates come from a table.  Over
-    Q(zeta_r) every value is expanded into its multiplication matrix (the
-    regular representation over Q), and the rank is the fraction-free
-    Bareiss rank of the integer expansion divided by deg Phi_r.
+    Ranks are exact.  At each point only the nonzero entries of the two odd
+    blocks d+ and d- are evaluated, in integers, into sparse rows: each
+    block is brought to one denominator once, and each monomial's value
+    comes from a table of powers of the point's coordinates.  Over Q(zeta_r)
+    every value is expanded into its multiplication matrix (the regular
+    representation over Q), and a rank over the field is the rank of the
+    integer expansion divided by deg Phi_r.  Each rank is certified as
+    follows.  Ranks modulo the fixed prime ``_PRIME`` are lower bounds.  The
+    products d+ d- and d- d+ are formed exactly in integers; when both are
+    zero, rank(d+) + rank(d-) is at most the number of rows of either block,
+    and modular ranks that reach that bound are the ranks over Q.  At any
+    other point (a non-exact one, an unlucky prime, or a complex recorded
+    flat whose square is not zero) both ranks are fraction-free Bareiss
+    ranks.  Either way the ranks, and so the reports, are the same.
     """
     if trials < 1:
         raise ValueError(f"exactness sampling needs at least one trial, got {trials}")
@@ -468,7 +562,7 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
         if not z.off_locus(point):
             continue
         values = [point[v] for v in variables]
-        rp, rm = d_plus.rank(values), d_minus.rank(values)
+        rp, rm = _point_ranks(d_plus, d_minus, values)
         exact = (rp + rm == c.module.odd_rank) and (rm + rp == c.module.even_rank)
         points.append(SamplePoint(point, rp, rm, exact))
     all_exact = all(pt.exact for pt in points)
