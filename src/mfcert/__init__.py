@@ -15,11 +15,10 @@ from .clifford import (OrthoSection, SpinorModule, SpinorSplit, clifford_action,
                        clifford_square, contraction_operator, spinor_module,
                        spinor_split, wedge_operator)
 from .constructions import (ConeLiftResult, InvariantError, LambdaFamily,
-                            Lemma1Result, Lemma2Result, RamondData,
-                            RemarkResult, SLambdaResult, SXiReduceResult,
-                            TauData, TwistFamily, cone_lift, cone_lift_check,
-                            cyclotomic_coupling, lemma1_build, lemma2_build,
-                            multinomial, product_differential,
+                            RamondData, SLambdaResult, SXiReduceResult,
+                            TauData, TotalResult, TwistFamily, cone_lift,
+                            cone_lift_check, cyclotomic_coupling, lemma1_build,
+                            lemma2_build, multinomial, product_differential,
                             remark_decompose, s_lambda_check, s_xi_reduce)
 from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, compose_certs, verify)

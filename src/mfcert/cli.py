@@ -154,8 +154,9 @@ def cmd_gen(args) -> int:
     if args.kind not in builders:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
         return USAGE
-    if args.size > 8:
-        print("size is limited to 8", file=sys.stderr)
+    if not 0 <= args.size <= 8:
+        print("size is limited to 8" if args.size > 8 else "size must be at least 0",
+              file=sys.stderr)
         return USAGE
     instance = builders[args.kind]()
     text = write_instance(instance)

@@ -1,13 +1,16 @@
 """The named constructions: certified decompositions and section calculus.
 
-* :func:`lemma1_build` turns a polynomial deformation family with square
-  ``lambda**r`` into a filtered, null-homotopic total complex certifying that
-  r copies of the constant-term complex cancel in K-theory.
-* :func:`remark_decompose` does the same for a squarefree split target
-  polynomial, one summand per root.
-* :func:`lemma2_build` turns an odd endomorphism with square -(f1...fr) into
-  the family of r flat differentials on V + V[1] and the filtered total
-  complex with an explicit contracting homotopy.
+* :func:`lemma1_build`, :func:`remark_decompose` and :func:`lemma2_build`
+  make one argument three times: a flat total complex W whose slot
+  filtration has the target complexes as its graded slices, and a
+  contracting homotopy of W, so that the targets sum to zero in K-theory.
+  Each assembles its W and homotopy and hands them to the one builder,
+  ``_filtered_total``, which makes the filtration, the slice isomorphisms and
+  the certificate; each returns a :class:`TotalResult`.  The targets are r
+  copies of the constant-term complex of a deformation family with square
+  ``lambda**r`` (lemma1), one evaluation per root of a squarefree split
+  target polynomial (remark), and the r flat differentials on V + V[1] of an
+  odd endomorphism with square -(f1...fr) (lemma2).
 * :func:`s_lambda_check` and :func:`s_xi_reduce` drive the spinor-side
   constructions: a deformed isotropic section squaring to lambda**r, and the
   root-of-unity twisted sections whose transported actions are exactly the
@@ -18,8 +21,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+from dataclasses import dataclass, field
+from itertools import chain
+from math import factorial, prod
 
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
@@ -109,19 +113,46 @@ class LambdaFamily:
 
 
 # ---------------------------------------------------------------------------
-# reading report lines off the replay
+# filtered totals: graded slices that sum to a null-homotopic complex
 # ---------------------------------------------------------------------------
 
-class _Replayed:
-    """A construction whose report lines (``verdicts``) are read off ``replay``.
+@dataclass
+class TotalResult:
+    """A flat total complex ``w`` whose slot filtration has ``targets`` as its
+    graded slices and which ``homotopy`` contracts, so ``certificate`` proves
+    that the targets sum to zero.
 
     The builders only construct: each complex carries the curvature its lemma
     states, and the one replay of the certificate checks every identity.
+    :meth:`read` fills in ``replay`` and the report lines ``verdicts``.
     """
+
+    w: CurvedComplex
+    filtration: Filtration
+    targets: list[CurvedComplex]
+    homotopy: HomotopyMove
+    certificate: Certificate
+    replay: CertVerdict | None = None
+    verdicts: dict[str, Verdict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return bool(self.replay) and all(self.verdicts.values())
+
+    def read(self, replay: CertVerdict, flat: dict[str, CurvedComplex],
+             at: int = 0) -> "TotalResult":
+        """Read the lines off ``replay``: one per complex in ``flat`` from the
+        curvature pass, ``filtration`` and ``gr1``... from the filtration move
+        at index ``at``, and ``homotopy`` from the move after it."""
+        moves = [v for _, v in replay.move_results]
+        lines = {name: replay.curvatures[c.digest()] for name, c in flat.items()}
+        parts = (moves[at].children or (moves[at],)) if moves else ()
+        slices = [f"gr{j}" for j in range(1, len(self.targets) + 1)]
+        for k, name in enumerate(["filtration", *slices]):
+            lines[name] = _reached(replay, parts, k, name)
+        lines["homotopy"] = _reached(replay, moves, at + 1, "homotopy")
+        self.replay, self.verdicts = replay, lines
+        return self
 
 
 def _reached(replay: CertVerdict, verdicts, k: int, name: str) -> Verdict:
@@ -130,33 +161,6 @@ def _reached(replay: CertVerdict, verdicts, k: int, name: str) -> Verdict:
         return verdicts[k]
     why = "an earlier check of its move failed" if replay.move_results else replay.message
     return Verdict(False, name, message=f"not replayed: {why}")
-
-
-def _replay_lines(replay: CertVerdict, flat: dict[str, CurvedComplex],
-                  at: int, slices: int) -> dict[str, Verdict]:
-    """The lemma lines: one per complex in ``flat`` from the curvature pass,
-    ``filtration`` and ``gr1``... from the filtration move at index ``at``,
-    and ``homotopy`` from the move after it."""
-    moves = [v for _, v in replay.move_results]
-    lines = {name: replay.curvatures[c.digest()] for name, c in flat.items()}
-    parts = (moves[at].children or (moves[at],)) if moves else ()
-    for k, name in enumerate(["filtration"] + [f"gr{j}" for j in range(1, slices + 1)]):
-        lines[name] = _reached(replay, parts, k, name)
-    lines["homotopy"] = _reached(replay, moves, at + 1, "homotopy")
-    return lines
-
-
-@dataclass
-class Lemma1Result(_Replayed):
-    family: LambdaFamily
-    w: CurvedComplex
-    filtration: Filtration
-    gr_targets: list[CurvedComplex]
-    gr_isos: list[IsoPair]
-    homotopy: HomotopyMove
-    certificate: Certificate
-    replay: CertVerdict
-    verdicts: dict[str, Verdict]
 
 
 def _identity_between(source: SuperModule, target: SuperModule) -> ParityMap:
@@ -189,13 +193,33 @@ def _slice_isos(c: CurvedComplex, filt: Filtration,
     return isos
 
 
+def _filtered_total(z: SupportLocus, w_module: SuperModule, embs: list[list[int]],
+                    d_w: ParityMap, h: ParityMap, targets: list[CurvedComplex],
+                    claim: list[tuple[int, CurvedComplex]],
+                    labels: list[str]) -> TotalResult:
+    """The flat W = (w_module, d_w), filtered by the slots ``embs`` with
+    ``targets`` as its slices and contracted by ``h``, certifying ``claim``.
+
+    The certificate names W ``W`` and each target by its label; when two of
+    them share a digest, W wins, then the first label.
+    """
+    ring = w_module.ring
+    w = CurvedComplex(w_module, d_w, ring.zero)
+    filt = _slot_filtration(w, embs)
+    homotopy = HomotopyMove(w, h)
+    names = {w.digest(): "W"}
+    for t, label in zip(targets, labels):
+        names.setdefault(t.digest(), label)
+    moves = [(-1, FiltrationMove(w, filt.steps, targets, _slice_isos(w, filt, targets))),
+             (+1, homotopy)]
+    return TotalResult(w, filt, targets, homotopy, Certificate(ring, z, claim, moves, names))
+
+
 def lemma1_build(family: LambdaFamily,
-                 z: SupportLocus | None = None) -> Lemma1Result:
+                 z: SupportLocus | None = None) -> TotalResult:
     """Total complex on V[lambda]/(lambda^r) with filtration and null homotopy."""
-    z = z or SupportLocus()
     r = family.r
     module = family.module
-    ring = module.ring
     w_module, embs = direct_sum_modules([module] * r, [f"l{i}." for i in range(r)])
     d_blocks: dict[tuple[int, int], ParityMap] = {}
     h_blocks: dict[tuple[int, int], ParityMap] = {}
@@ -207,45 +231,21 @@ def lemma1_build(family: LambdaFamily,
                 d_blocks[(k + j, j)] = coeff
             else:
                 h_blocks[(k + j - r, j)] = coeff
-    d_w = assemble(w_module, embs, w_module, embs, ODD, d_blocks)
-    h = assemble(w_module, embs, w_module, embs, ODD, h_blocks)
-    w = CurvedComplex(w_module, d_w, ring.zero)
-    filt = _slot_filtration(w, embs)
     d0 = family.d0_complex
-    targets = [d0] * r
-    isos = _slice_isos(w, filt, targets)
-    homotopy = HomotopyMove(w, h)
-    cert = Certificate.build(
-        ring, z,
-        claim=[(r, d0)],
-        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)), (+1, homotopy)],
-        names={d0.digest(): "V.d0", w.digest(): "W"})
-    replay = verify(cert)
-    return Lemma1Result(family, w, filt, targets, isos, homotopy, cert, replay,
-                        _replay_lines(replay, {"flat": w}, 0, r))
+    res = _filtered_total(z or SupportLocus(), w_module, embs,
+                          assemble(w_module, embs, w_module, embs, ODD, d_blocks),
+                          assemble(w_module, embs, w_module, embs, ODD, h_blocks),
+                          [d0] * r, [(r, d0)], ["V.d0"] * r)
+    return res.read(verify(res.certificate), {"flat": res.w})
 
 
 # ---------------------------------------------------------------------------
 # squarefree split target polynomial: one summand per root
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RemarkResult(_Replayed):
-    complexes: list[CurvedComplex]
-    multiplicities: list[int]
-    roots: list[Poly]
-    w: CurvedComplex
-    filtration: Filtration
-    gr_isos: list[IsoPair]
-    homotopy: HomotopyMove
-    certificate: Certificate
-    replay: CertVerdict
-    verdicts: dict[str, Verdict]
-
-
 def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
                      roots: list[Poly],
-                     z: SupportLocus | None = None) -> RemarkResult:
+                     z: SupportLocus | None = None) -> TotalResult:
     """Split d(lambda)^2 = f(lambda) * id over the given distinct roots of f.
 
     The total complex V[lambda]/(f) is written in the telescoping basis
@@ -253,7 +253,6 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     evaluation complexes (V, d(z_k)) as its graded slices, and the division
     of d(lambda) by f supplies the contracting homotopy.
     """
-    z = z or SupportLocus()
     ring = module.ring
     _require_lambda(ring)
     lam = ring.var(LAMBDA)
@@ -267,11 +266,9 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     for zr in roots:
         if zr.degree_in(LAMBDA) > 0:
             raise InvariantError(f"root {zr} must be lambda-free")
-    prod = ring.one
-    for zr in roots:
-        prod = prod * (lam - zr)
-    if prod != f:
-        raise InvariantError(f"product of (lambda - root) is {prod}, not {f}")
+    product = prod((lam - zr for zr in roots), start=ring.one)
+    if product != f:
+        raise InvariantError(f"product of (lambda - root) is {product}, not {f}")
     for i in range(r):
         for j in range(i + 1, r):
             if (roots[i] - roots[j]).is_zero():
@@ -285,25 +282,21 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
     w_module, embs = direct_sum_modules([module] * r, [f"b{i}." for i in range(r)])
     n = module.total_rank
 
-    # multiplication by d(lambda) mod f in the power basis, plus the quotient map
-    d_power: dict[tuple[int, int], ParityMap] = {}
-    h_power: dict[tuple[int, int], ParityMap] = {}
+    # multiplication by d(lambda) mod f in the power basis, plus the quotient
+    # map, as sparse rows per (slot, slot) block: row-major, columns ascending
+    d_power: dict[tuple[int, int], list[list]] = {}
+    h_power: dict[tuple[int, int], list[list]] = {}
     for j in range(r):
         for a, b, p in d_lambda.scale(lam**j).nonzero():
             quo, rem = p.divmod_in(LAMBDA, f)
-            for k, coeff in rem.coefficients_in(LAMBDA).items():
-                d_power.setdefault((k, j), {})[(a, b)] = coeff
-            for k, coeff in quo.coefficients_in(LAMBDA).items():
-                h_power.setdefault((k, j), {})[(a, b)] = coeff
+            for blocks, part in ((d_power, rem), (h_power, quo)):
+                for k, coeff in part.coefficients_in(LAMBDA).items():
+                    blocks.setdefault((k, j), [[] for _ in range(n)])[a].append((b, coeff))
 
     def _blocks_to_map(blockdict) -> ParityMap:
-        blocks = {}
-        for (slot_t, slot_s), entries in blockdict.items():
-            rows = [[ring.zero] * n for _ in range(n)]
-            for (a, b), p in entries.items():
-                rows[a][b] = p
-            blocks[(slot_t, slot_s)] = ParityMap(module, module, ODD, rows)
-        return assemble(w_module, embs, w_module, embs, ODD, blocks)
+        return assemble(w_module, embs, w_module, embs, ODD,
+                        {slots: ParityMap._from_rows(module, module, ODD, map(tuple, rows))
+                         for slots, rows in blockdict.items()})
 
     d_w_power = _blocks_to_map(d_power)
     h_w_power = _blocks_to_map(h_power)
@@ -336,30 +329,16 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
 
     u = _slot_matrix(t_cols)
     u_inv = _slot_matrix(tinv_cols)
-    d_w = u_inv.compose(d_w_power).compose(u)
-    h_w = u_inv.compose(h_w_power).compose(u)
-    w = CurvedComplex(w_module, d_w, ring.zero)
-
     targets = []
     for zr in roots:   # flat: d(z)^2 = f(z) * id = 0 at a root z
         d_at = d_lambda.entrywise(lambda p: p.substitute(LAMBDA, zr))
         targets.append(CurvedComplex(module, d_at, ring.zero))
-
-    filt = _slot_filtration(w, embs)
-    isos = _slice_isos(w, filt, targets)
-    homotopy = HomotopyMove(w, h_w)
-
-    names = {w.digest(): "W"}
-    for k, t in enumerate(targets):
-        names.setdefault(t.digest(), f"V.d(root{k + 1})")
-    cert = Certificate.build(
-        ring, z,
-        claim=[(1, t) for t in targets],
-        moves=[(-1, FiltrationMove(w, filt.steps, targets, isos)), (+1, homotopy)],
-        names=names)
-    replay = verify(cert)
-    return RemarkResult(targets, [1] * r, list(roots), w, filt, isos, homotopy,
-                        cert, replay, _replay_lines(replay, {"flat": w}, 0, r))
+    res = _filtered_total(z or SupportLocus(), w_module, embs,
+                          u_inv.compose(d_w_power).compose(u),
+                          u_inv.compose(h_w_power).compose(u),
+                          targets, [(1, t) for t in targets],
+                          [f"V.d(root{k})" for k in range(1, r + 1)])
+    return res.read(verify(res.certificate), {"flat": res.w})
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +358,13 @@ class TwistFamily:
             raise InvariantError("need at least one function")
         if self.d.parity != ODD or self.d.source != self.module or self.d.target != self.module:
             raise InvariantError("d must be an odd endomorphism of the module")
-        prod = self.module.ring.one
-        for f in self.functions:
-            prod = prod * f
-        if residual([(1, self.d, self.d)], diagonal=(self.module, -prod)) is not None:
+        product = prod(self.functions, start=self.module.ring.one)
+        if residual([(1, self.d, self.d)], diagonal=(self.module, -product)) is not None:
             raise InvariantError("square of d is not minus the product of the functions")
 
     @property
     def r(self) -> int:
         return len(self.functions)
-
-
-@dataclass
-class Lemma2Result(_Replayed):
-    family: TwistFamily
-    differentials: list[CurvedComplex]
-    w: CurvedComplex
-    filtration: Filtration
-    gr_isos: list[IsoPair]
-    homotopy: HomotopyMove
-    certificate: Certificate
-    replay: CertVerdict
-    verdicts: dict[str, Verdict]
 
 
 def _vv_module(module: SuperModule) -> tuple[SuperModule, list[list[int]]]:
@@ -413,10 +377,7 @@ def product_differential(family: TwistFamily, i: int) -> ParityMap:
     module, fs = family.module, family.functions
     ring = module.ring
     vv, embs = _vv_module(module)
-    g = ring.one
-    for j, f in enumerate(fs, start=1):
-        if j != i:
-            g = g * f
+    g = prod((f for j, f in enumerate(fs, start=1) if j != i), start=ring.one)
     unit = parity_unit(module)                     # V[1] -> V
     unit_rev = parity_unit(module.shifted())       # V -> V[1]
     blocks = {
@@ -429,23 +390,19 @@ def product_differential(family: TwistFamily, i: int) -> ParityMap:
 
 
 def lemma2_build(family: TwistFamily,
-                 z: SupportLocus | None = None) -> Lemma2Result:
+                 z: SupportLocus | None = None) -> TotalResult:
     """The r flat differentials, their filtered total complex, and its homotopy."""
-    parts = _lemma2_parts(family, z or SupportLocus())
-    return _lemma2_result(family, parts, verify(parts[-1]), 0)
+    res = _lemma2_total(family, z or SupportLocus())
+    return res.read(verify(res.certificate), _lemma2_flat(res))
 
 
-def _lemma2_result(family: TwistFamily, parts: tuple, replay: CertVerdict,
-                   at: int) -> Lemma2Result:
-    """The lemma2 lines, read off a replay whose filtration move is at ``at``."""
-    d_list, w = parts[0], parts[1]
-    flat = {"flat": w, **{f"d{i}-flat": dc for i, dc in enumerate(d_list, start=1)}}
-    return Lemma2Result(family, *parts, replay,
-                        _replay_lines(replay, flat, at, len(d_list)))
+def _lemma2_flat(res: TotalResult) -> dict[str, CurvedComplex]:
+    """The lemma2 curvature lines: the total W, then each differential d_i."""
+    return {"flat": res.w, **{f"d{i}-flat": dc for i, dc in enumerate(res.targets, start=1)}}
 
 
-def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
-    """(differentials, W, filtration, slice isomorphisms, homotopy, certificate).
+def _lemma2_total(family: TwistFamily, z: SupportLocus) -> TotalResult:
+    """The unread lemma2 total, its targets the differentials d_i.
 
     Each d_i is flat: d_i^2 = d^2 + f_1...f_r = 0, and so is the total W.
     """
@@ -475,10 +432,7 @@ def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
 
     def prefix_product(lo: int, hi: int) -> Poly:
         """f_lo * ... * f_hi with 1-based inclusive bounds; empty when lo > hi."""
-        p = ring.one
-        for j in range(lo, hi + 1):
-            p = p * fs[j - 1]
-        return p
+        return prod(fs[lo - 1:hi], start=ring.one)
 
     d_blocks: dict[tuple[int, int], ParityMap] = {}
     for i in range(1, r + 1):
@@ -496,9 +450,6 @@ def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
             d_blocks[(i - 1, i - 2)] = (d_blocks.get((i - 1, i - 2),
                                                      vv_block())
                                         + vv_block(px=unit_rev.scale(-1)))
-    d_w = assemble(w_module, embs, w_module, embs, ODD, d_blocks)
-    w = CurvedComplex(w_module, d_w, ring.zero)
-
     h_blocks: dict[tuple[int, int], ParityMap] = {}
     for i in range(1, r):
         for k in range(i + 1, r + 1):
@@ -506,20 +457,11 @@ def _lemma2_parts(family: TwistFamily, z: SupportLocus) -> tuple:
             h_blocks[(i - 1, k - 1)] = vv_block(xxp=unit.scale(-coeff))
     h_blocks[(0, r - 1)] = (h_blocks.get((0, r - 1), vv_block())
                             + vv_block(px=unit_rev))
-    h = assemble(w_module, embs, w_module, embs, ODD, h_blocks)
-    homotopy = HomotopyMove(w, h)
-    filt = _slot_filtration(w, embs)
-    isos = _slice_isos(w, filt, d_list)
-
-    names = {w.digest(): "W"}
-    for i, dc in enumerate(d_list, start=1):
-        names.setdefault(dc.digest(), f"VV.d{i}")
-    cert = Certificate.build(
-        ring, z,
-        claim=[(1, dc) for dc in d_list],
-        moves=[(-1, FiltrationMove(w, filt.steps, d_list, isos)), (+1, homotopy)],
-        names=names)
-    return d_list, w, filt, isos, homotopy, cert
+    return _filtered_total(z, w_module, embs,
+                           assemble(w_module, embs, w_module, embs, ODD, d_blocks),
+                           assemble(w_module, embs, w_module, embs, ODD, h_blocks),
+                           d_list, [(1, dc) for dc in d_list],
+                           [f"VV.d{i}" for i in range(1, r + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +485,34 @@ def multinomial(exps: tuple[int, ...]) -> int:
     return out
 
 
+def _check_datum(data, matrix: str, unit: bool, forms=()):
+    """The checks of a section datum, in order: r >= 2, then (with a ``unit``
+    slot) lambda in the ring, the coordinates in the ring, the shapes of the
+    ``matrix`` field, of the linear ``forms`` and of the tensor keys, and no
+    entry of the three involving a coordinate (or, with a unit slot, lambda)."""
+    if data.r < 2:
+        raise InvariantError(f"need r >= 2, got {data.r}")
+    if unit:
+        _require_lambda(data.ring)
+    for v in data.coords:
+        if v not in data.ring.variables:
+            raise ContextError(f"coordinate {v} missing from the ring")
+    n0 = len(data.coords)
+    rows = getattr(data, matrix)
+    if len(rows) != data.c1_rank or any(len(row) != n0 + unit for row in rows):
+        raise ShapeError(f"{matrix} has the wrong shape")
+    if any(len(form) != n0 for form in forms):
+        raise ShapeError("e1/e2 must be rows over the C0 coordinates")
+    for m, vec in data.nu.items():
+        if len(m) != n0 + unit or sum(m) != data.r - 1 or len(vec) != data.c1_rank:
+            raise ShapeError(f"bad symmetric tensor key {m}")
+    banned = set(data.coords) | ({LAMBDA} if unit else set())
+    for p in chain(*rows, *data.nu.values(), *forms):
+        for v in banned:
+            if p.degree_in(v) > 0:
+                raise ContextError(f"datum entry {p} must not involve the coordinate {v}")
+
+
 @dataclass(frozen=True)
 class TauData:
     """A two-term datum with unit slot and a symmetric pairing tensor.
@@ -561,31 +531,7 @@ class TauData:
     nu: dict[tuple[int, ...], tuple[Poly, ...]]
 
     def __post_init__(self):
-        if self.r < 2:
-            raise InvariantError(f"need r >= 2, got {self.r}")
-        _require_lambda(self.ring)
-        for v in self.coords:
-            if v not in self.ring.variables:
-                raise ContextError(f"coordinate {v} missing from the ring")
-        n0 = len(self.coords)
-        if len(self.dtilde) != self.c1_rank or any(
-                len(row) != n0 + 1 for row in self.dtilde):
-            raise ShapeError("dtilde has the wrong shape")
-        for m, vec in self.nu.items():
-            if len(m) != n0 + 1 or sum(m) != self.r - 1 or len(vec) != self.c1_rank:
-                raise ShapeError(f"bad symmetric tensor key {m}")
-        banned = set(self.coords) | {LAMBDA}
-        for p in self._all_entries():
-            for v in banned:
-                if p.degree_in(v) > 0:
-                    raise ContextError(
-                        f"datum entry {p} must not involve the coordinate {v}")
-
-    def _all_entries(self):
-        for row in self.dtilde:
-            yield from row
-        for vec in self.nu.values():
-            yield from vec
+        _check_datum(self, "dtilde", unit=True)
 
     def section(self) -> OrthoSection:
         """The deformed section at the generic column x + lambda 1: vector part
@@ -695,33 +641,7 @@ class RamondData:
     e2: tuple[Poly, ...]
 
     def __post_init__(self):
-        if self.r < 2:
-            raise InvariantError(f"need r >= 2, got {self.r}")
-        for v in self.coords:
-            if v not in self.ring.variables:
-                raise ContextError(f"coordinate {v} missing from the ring")
-        n0 = len(self.coords)
-        if len(self.d) != self.c1_rank or any(len(row) != n0 for row in self.d):
-            raise ShapeError("d has the wrong shape")
-        if len(self.e1) != n0 or len(self.e2) != n0:
-            raise ShapeError("e1/e2 must be rows over the C0 coordinates")
-        for m, vec in self.nu.items():
-            if len(m) != n0 or sum(m) != self.r - 1 or len(vec) != self.c1_rank:
-                raise ShapeError(f"bad symmetric tensor key {m}")
-        banned = set(self.coords)
-        for p in self._all_entries():
-            for v in banned:
-                if p.degree_in(v) > 0:
-                    raise ContextError(
-                        f"datum entry {p} must not involve the coordinate {v}")
-
-    def _all_entries(self):
-        for row in self.d:
-            yield from row
-        for vec in self.nu.values():
-            yield from vec
-        yield from self.e1
-        yield from self.e2
+        _check_datum(self, "d", unit=False, forms=(self.e1, self.e2))
 
     def linear_form(self, row: tuple[Poly, ...]) -> Poly:
         acc = self.ring.zero
@@ -752,20 +672,22 @@ def cyclotomic_coupling(ring: PolyRing, e1: Poly, e2: Poly, r: int,
 
 
 @dataclass
-class SXiReduceResult(_Replayed):
+class SXiReduceResult:
     """``lemma2`` holds the product-family construction, its lines read off
     the one replay of the combined ``certificate``; ``verdicts`` holds the
     coupling, product and match lines, then the lemma2 lines."""
 
     roots: list[Scalar]
     f_list: list[Poly]
-    twist: TwistFamily
-    lemma2: Lemma2Result
+    lemma2: TotalResult
     sections: list[OrthoSection]
-    iso_certificate: Certificate
     certificate: Certificate
     replay: CertVerdict
     verdicts: dict[str, Verdict]
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.replay) and all(self.verdicts.values())
 
 
 def s_xi_reduce(data: RamondData,
@@ -802,24 +724,19 @@ def s_xi_reduce(data: RamondData,
     verdicts: dict[str, Verdict] = {}
     sections = []
     for i, xi in enumerate(roots):
-        prod = ring.one
-        for j, f in enumerate(f_list):
-            if j != i:
-                prod = prod * f
+        others = prod((f for j, f in enumerate(f_list) if j != i), start=ring.one)
         coupling = cyclotomic_coupling(ring, e1, e2, r, xi)
-        verdicts[f"coupling-xi{i + 1}"] = _vanishes(f"coupling-xi{i + 1}", prod - coupling)
+        verdicts[f"coupling-xi{i + 1}"] = _vanishes(f"coupling-xi{i + 1}", others - coupling)
         sections.append(OrthoSection(ring, s0.vector_part, s0.covector_part,
                                      f_list[i], coupling))
-    total = ring.one
-    for f in f_list:
-        total = total * f
+    total = prod(f_list, start=ring.one)
     verdicts["product-of-twists"] = _vanishes("product-of-twists",
                                               total - (e1**r - e2**r))
 
     plain = spinor_module(ring, data.c1_rank)
     twist = TwistFamily(plain.module, clifford_action(s0, plain), tuple(f_list))
-    parts = _lemma2_parts(twist, z)
-    differentials = parts[0]
+    lemma2 = _lemma2_total(twist, z)
+    differentials = lemma2.targets
 
     extended = spinor_module(ring, data.c1_rank, extended=True)
     split = spinor_split(extended)
@@ -839,18 +756,15 @@ def s_xi_reduce(data: RamondData,
 
     iso_claim = [(1, c) for c in ext_complexes] + \
                 [(-1, dc) for dc in differentials]
-    iso_cert = Certificate.build(ring, z, claim=iso_claim, moves=iso_moves,
-                                 names=names)
-    combined = compose_certs(iso_cert, parts[-1])
+    combined = compose_certs(Certificate(ring, z, iso_claim, iso_moves, names),
+                             lemma2.certificate)
     replay = verify(combined)
     # the iso move for xi_i proves the transported action equals d_i
     moves = [v for _, v in replay.move_results]
     for i in range(r):
         verdicts[f"match-xi{i + 1}"] = _reached(replay, moves, i, f"match-xi{i + 1}")
-    lemma2 = _lemma2_result(twist, parts, replay, r)
-    verdicts.update(lemma2.verdicts)
-    return SXiReduceResult(roots, f_list, twist, lemma2, sections, iso_cert,
-                           combined, replay, verdicts)
+    verdicts.update(lemma2.read(replay, _lemma2_flat(lemma2), at=r).verdicts)
+    return SXiReduceResult(roots, f_list, lemma2, sections, combined, replay, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -174,13 +174,6 @@ class Certificate:
     moves: list[tuple[int, Move]]
     names: dict[str, str] = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, ring: PolyRing, z: SupportLocus,
-              claim: list[tuple[int, CurvedComplex]],
-              moves: list[tuple[int, Move]],
-              names: dict[str, str] | None = None) -> "Certificate":
-        return cls(ring, z, list(claim), list(moves), dict(names or {}))
-
     def name_of(self, c: CurvedComplex) -> str:
         return self.names.get(c.digest(), c.digest())
 

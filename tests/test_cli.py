@@ -56,6 +56,17 @@ def test_gen_rejects_oversize(tmp_path, capsys):
                 "--out", tmp_path / "x.txt"]) == 2
 
 
+@pytest.mark.parametrize("size", [-1, 9])
+@pytest.mark.parametrize("kind", ["lambda-family", "twist-family", "remark-family",
+                                  "tau-data", "ramond-data", "cone-lift"])
+def test_gen_rejects_size_outside_zero_to_eight(kind, size, tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert run(["gen", "--kind", kind, "--size", size, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("size is limited to 8\n" if size > 8 else "size must be at least 0\n")
+
+
 def test_check_mf_reports_curvature(twist_file, capsys):
     assert run(["check-mf", twist_file]) == 0
     out = capsys.readouterr().out

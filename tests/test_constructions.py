@@ -66,6 +66,8 @@ def test_lemma1_empty_module():
     assert res.ok
     assert res.w.module.total_rank == 0
     assert verify(res.certificate)
+    # W and V.d0 share a digest; the certificate names that complex W
+    assert res.certificate.names == {res.w.digest(): "W"}
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -76,7 +78,7 @@ def test_lemma1_documented_family(r):
     assert len(res.filtration.steps) == r
     assert verify(res.certificate)
     # claim says r copies of the constant-term complex cancel
-    assert res.certificate.claim == [(r, res.gr_targets[0])]
+    assert res.certificate.claim == [(r, res.targets[0])]
 
 
 def test_lemma1_homotopy_is_sound_witness():
@@ -131,11 +133,10 @@ def test_remark_constant_roots():
     v, d, f, roots = remark_instance(("1", "-1"))
     res = remark_decompose(v, d, f, roots)
     assert res.ok
-    assert res.multiplicities == [1, 1]
-    assert [c.curvature.is_zero() for c in res.complexes] == [True, True]
+    assert [c.curvature.is_zero() for c in res.targets] == [True, True]
     assert verify(res.certificate)
     # the summands are the evaluations of the family at the roots
-    assert res.complexes[0].d.entries[0][1] == RING.parse("1 - -1")
+    assert res.targets[0].d.entries[0][1] == RING.parse("1 - -1")
 
 
 def test_remark_polynomial_roots():
@@ -154,7 +155,7 @@ def test_remark_constant_roots_admit_evaluation_isomorphism():
     w = res.w
     r = len(roots)
     n = v.total_rank
-    summand, embs = direct_sum_modules([c.module for c in res.complexes],
+    summand, embs = direct_sum_modules([c.module for c in res.targets],
                                        [f"z{k}." for k in range(r)])
     blocks = {}
     # basis polys of the telescoping basis evaluated at each root
@@ -189,7 +190,7 @@ def test_remark_constant_roots_admit_evaluation_isomorphism():
                 bwd_entries[wembs[j][i]][embs[k][i]] = RING.const(inv[j][k])
     bwd = ParityMap(summand, w.module, EVEN, bwd_entries)
     dsum = assemble(summand, embs, summand, embs, ODD,
-                    {(k, k): c.d for k, c in enumerate(res.complexes)})
+                    {(k, k): c.d for k, c in enumerate(res.targets)})
     target = curvature_check(summand, dsum)
     move = IsoMove(w, target, IsoPair(fwd, bwd))
     assert move.replay(), move.replay().describe()
@@ -269,7 +270,7 @@ def test_lemma2_documented_koszul_formulas():
 def test_lemma2_matches_documented_differentials():
     fam = koszul_twist()
     res = lemma2_build(fam)
-    d1, d2 = res.differentials
+    d1, d2 = res.targets
     # d1 couples x' into x by f2 = y and x into x' by f1 = x
     x_row, xp_row = 0, 3   # even part: [x.e0, x'.o0 -> index 1], layout checked below
     labels = d1.module.labels
@@ -317,7 +318,7 @@ def test_lemma2_filtration_is_block_triangular():
             if slice_of[i] < slice_of[j]:
                 assert w.d.entries[i][j].is_zero()
     from mfcert.complexes import graded_slice
-    for j, target in enumerate(res.differentials, start=1):
+    for j, target in enumerate(res.targets, start=1):
         gr = curvature_check(*graded_slice(w, filt, j))
         assert gr.d.entries == target.d.entries
 
@@ -348,12 +349,12 @@ def test_lemma1_with_discharged_exactness(r):
     family, h0 = tensor_trick_family(r)
     res = lemma1_build(family)
     assert res.ok
-    d0 = res.gr_targets[0]
+    d0 = res.targets[0]
     v = is_homotopy(d0, d0, h0, d0.identity_map(), d0.zero_map())
     assert v, v.describe()
     base = verify(res.certificate)
     assert base.assumed_exact == ["V.d0"]
-    discharge = Certificate.build(
+    discharge = Certificate(
         res.certificate.ring, res.certificate.z, claim=[],
         moves=[(0, HomotopyMove(d0, h0))])
     combined = compose_certs(res.certificate, discharge)

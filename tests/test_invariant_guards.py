@@ -8,6 +8,9 @@ A polynomial's printed text is attached only where it is printed or
 confirmed canonical, in ``polynomials.py``: any other module that passed a
 text to ``Poly`` or touched ``_text`` could give a digest a text that is not
 the canonical print.
+
+The constructions build their filtered, null-homotopic totals in one
+function, so the filtration move is made in exactly one place.
 """
 
 import ast
@@ -42,3 +45,13 @@ def test_only_polynomials_attaches_a_printed_text():
                     and node.func.id == "Poly" and (len(node.args) > 3 or node.keywords):
                 found.append(f"{path.name}:{node.lineno} passes a text to Poly")
     assert found == []
+
+
+def test_constructions_make_the_filtration_move_in_one_function():
+    tree = ast.parse((PACKAGE / "constructions.py").read_text())
+    makers = {func.name for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)
+              if isinstance(node, ast.Call) and "FiltrationMove" in (
+                  getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert makers == {"_filtered_total"}

@@ -34,13 +34,13 @@ def test_trivial_iso_certificate():
     c = flat_complex()
     move = IsoMove(c, c, IsoPair(ParityMap.identity(c.module),
                                  ParityMap.identity(c.module)))
-    cert = Certificate.build(RING, SupportLocus(),
-                             claim=[(1, c), (-1, c)], moves=[(1, move)])
+    cert = Certificate(RING, SupportLocus(),
+                       claim=[(1, c), (-1, c)], moves=[(1, move)])
     v = verify(cert)
     assert v and v.ledger_ok
     # an unsupported claim does not reduce
-    cert2 = Certificate.build(RING, SupportLocus(), claim=[(1, c)],
-                              moves=[(1, move)])
+    cert2 = Certificate(RING, SupportLocus(), claim=[(1, c)],
+                        moves=[(1, move)])
     assert not verify(cert2)
 
 
@@ -116,7 +116,7 @@ def test_compose_with_empty_certificate():
     inst = gen_twist_family(2, 1, 9)
     fam = TwistFamily(inst.module, inst.d, inst.functions)
     res = lemma2_build(fam)
-    empty = Certificate.build(res.certificate.ring, res.certificate.z, [], [])
+    empty = Certificate(res.certificate.ring, res.certificate.z, [], [])
     combined = compose_certs(res.certificate, empty)
     assert combined.claim == res.certificate.claim
     assert len(combined.moves) == len(res.certificate.moves)
@@ -125,8 +125,8 @@ def test_compose_with_empty_certificate():
 
 def test_compose_cancels_claims():
     c = small_complex()
-    plus = Certificate.build(RING, SupportLocus(), [(1, c)], [])
-    minus = Certificate.build(RING, SupportLocus(), [(-1, c)], [])
+    plus = Certificate(RING, SupportLocus(), [(1, c)], [])
+    minus = Certificate(RING, SupportLocus(), [(-1, c)], [])
     combined = compose_certs(plus, minus)
     assert combined.claim == []
     assert verify(combined)
@@ -134,9 +134,9 @@ def test_compose_cancels_claims():
 
 def test_compose_locus_mismatch():
     c = small_complex()
-    a = Certificate.build(RING, SupportLocus(), [(1, c), (-1, c)], [])
-    b = Certificate.build(RING, SupportLocus((RING.parse("x"),)),
-                          [(1, c), (-1, c)], [])
+    a = Certificate(RING, SupportLocus(), [(1, c), (-1, c)], [])
+    b = Certificate(RING, SupportLocus((RING.parse("x"),)),
+                    [(1, c), (-1, c)], [])
     with pytest.raises(ShapeError):
         compose_certs(a, b)
 
@@ -162,7 +162,7 @@ def test_partial_first_step_is_rejected():
 
 def test_curved_claim_terms_are_rejected():
     c = small_complex()   # curvature -x*y, not a complex
-    cert = Certificate.build(RING, SupportLocus(), [(1, c), (-1, c)], [])
+    cert = Certificate(RING, SupportLocus(), [(1, c), (-1, c)], [])
     v = verify(cert)
     assert not v and "curved" in v.message
 
@@ -171,8 +171,8 @@ def test_recorded_curvature_is_rechecked():
     c = small_complex()
     from mfcert import CurvedComplex
     lying = CurvedComplex(c.module, c.d, RING.zero)
-    cert = Certificate.build(RING, SupportLocus(),
-                             claim=[(1, lying), (-1, lying)], moves=[])
+    cert = Certificate(RING, SupportLocus(),
+                       claim=[(1, lying), (-1, lying)], moves=[])
     v = verify(cert)
     assert not v and "curvature" in v.message
 

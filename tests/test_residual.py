@@ -189,7 +189,7 @@ def test_recorded_curvature_on_a_misframed_complex_fails():
     ring, u, v, du, dv = _two_modules()
     stray = CurvedComplex(u, dv, ring.parse("x*y"))   # d acts on v, not u
     move = IsoMove(stray, stray, IsoPair(ParityMap.identity(u), ParityMap.identity(u)))
-    cert = Certificate.build(ring, SupportLocus(), claim=[], moves=[(1, move)])
+    cert = Certificate(ring, SupportLocus(), claim=[], moves=[(1, move)])
     verdict = verify(cert)
     assert not verdict and "does not have its recorded curvature" in verdict.message
 
