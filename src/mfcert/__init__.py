@@ -20,7 +20,7 @@ from .constructions import (ConeLiftResult, InvariantError, LambdaFamily,
                             cone_lift_check, cyclotomic_coupling, lemma1_build,
                             lemma2_build, multinomial, product_differential,
                             remark_decompose, s_lambda_check, s_xi_reduce)
-from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
-                    IsoMove, IsoPair, compose_certs, verify)
+from .kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
+                    IsoPair, compose_certs, verify)
 
 __version__ = "0.1.0"

@@ -290,11 +290,13 @@ def cmd_verify(args) -> int:
     cert = parse_bundle(text)
     verdict = kcert_verify(cert)
     report = Report("verify", {"input": args.input})
-    for idx, v in verdict.move_results:
-        report.add(f"move-{idx}", bool(v), "" if v else v.describe())
-    report.add("ledger", verdict.ledger_ok, verdict.message)
-    if verdict.assumed_exact:
-        report.extra["assumed-exact"] = ", ".join(verdict.assumed_exact)
+    # children: the curvature pass, each move, the ledger; a curvature pass
+    # that stops the replay is the only child, and fails the ledger line
+    _verdict_checks(report, {f"move-{idx}": v
+                             for idx, v in enumerate(verdict.children[1:-1])})
+    report.add("ledger", verdict.children[-1].ok, verdict.message)
+    if verdict.children[0] and (assumed := cert.assumed_exact()):
+        report.extra["assumed-exact"] = ", ".join(assumed)
     return _emit(report, args)
 
 

@@ -146,10 +146,6 @@ class ChainMap:
     target: CurvedComplex
     map: ParityMap
 
-    @property
-    def degree(self) -> int:
-        return self.map.parity
-
 
 def is_chain_map(f: ChainMap) -> Verdict:
     """Check the intertwining identity f.d = (-1)^{|f|} d.f, exactly."""

@@ -29,7 +29,7 @@ from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
 from .complexes import (ChainMap, Cone, CurvedComplex, Filtration, SupportLocus,
                         Verdict, cone, is_chain_map, is_homotopy, slice_basis)
-from .kcert import (Certificate, CertVerdict, FiltrationMove, HomotopyMove,
+from .kcert import (Certificate, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, compose_certs, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
@@ -132,20 +132,26 @@ class TotalResult:
     targets: list[CurvedComplex]
     homotopy: HomotopyMove
     certificate: Certificate
-    replay: CertVerdict | None = None
+    replay: Verdict | None = None
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return bool(self.replay) and all(self.verdicts.values())
 
-    def read(self, replay: CertVerdict, flat: dict[str, CurvedComplex],
+    def read(self, flat: dict[str, CurvedComplex], cert: Certificate | None = None,
              at: int = 0) -> "TotalResult":
-        """Read the lines off ``replay``: one per complex in ``flat`` from the
-        curvature pass, ``filtration`` and ``gr1``... from the filtration move
-        at index ``at``, and ``homotopy`` from the move after it."""
-        moves = [v for _, v in replay.move_results]
-        lines = {name: replay.curvatures[c.digest()] for name, c in flat.items()}
+        """Replay ``cert`` (by default ``certificate``) and read the lines off
+        it: one per complex in ``flat`` from the curvature pass, ``filtration``
+        and ``gr1``... from the filtration move at index ``at``, and
+        ``homotopy`` from the move after it."""
+        cert = cert or self.certificate
+        replay = verify(cert)
+        # the curvature pass has one child per complex of the replayed certificate
+        curvature = dict(zip((c.digest() for c in cert.all_complexes()),
+                             replay.children[0].children))
+        lines = {name: curvature[c.digest()] for name, c in flat.items()}
+        moves = replay.children[1:-1]
         parts = (moves[at].children or (moves[at],)) if moves else ()
         slices = [f"gr{j}" for j in range(1, len(self.targets) + 1)]
         for k, name in enumerate(["filtration", *slices]):
@@ -155,11 +161,11 @@ class TotalResult:
         return self
 
 
-def _reached(replay: CertVerdict, verdicts, k: int, name: str) -> Verdict:
+def _reached(replay: Verdict, verdicts, k: int, name: str) -> Verdict:
     """``verdicts[k]`` of the replay, or FAIL when the replay stopped before it."""
     if k < len(verdicts):
         return verdicts[k]
-    why = "an earlier check of its move failed" if replay.move_results else replay.message
+    why = "an earlier check of its move failed" if replay.children[0] else replay.message
     return Verdict(False, name, message=f"not replayed: {why}")
 
 
@@ -236,7 +242,7 @@ def lemma1_build(family: LambdaFamily,
                           assemble(w_module, embs, w_module, embs, ODD, d_blocks),
                           assemble(w_module, embs, w_module, embs, ODD, h_blocks),
                           [d0] * r, [(r, d0)], ["V.d0"] * r)
-    return res.read(verify(res.certificate), {"flat": res.w})
+    return res.read({"flat": res.w})
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
                           u_inv.compose(h_w_power).compose(u),
                           targets, [(1, t) for t in targets],
                           [f"V.d(root{k})" for k in range(1, r + 1)])
-    return res.read(verify(res.certificate), {"flat": res.w})
+    return res.read({"flat": res.w})
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,7 @@ def lemma2_build(family: TwistFamily,
                  z: SupportLocus | None = None) -> TotalResult:
     """The r flat differentials, their filtered total complex, and its homotopy."""
     res = _lemma2_total(family, z or SupportLocus())
-    return res.read(verify(res.certificate), _lemma2_flat(res))
+    return res.read(_lemma2_flat(res))
 
 
 def _lemma2_flat(res: TotalResult) -> dict[str, CurvedComplex]:
@@ -506,10 +512,17 @@ def _check_datum(data, matrix: str, unit: bool, forms=()):
     for m, vec in data.nu.items():
         if len(m) != n0 + unit or sum(m) != data.r - 1 or len(vec) != data.c1_rank:
             raise ShapeError(f"bad symmetric tensor key {m}")
-    banned = set(data.coords) | ({LAMBDA} if unit else set())
-    for p in chain(*rows, *data.nu.values(), *forms):
+    check_datum_entries(chain(*rows, *data.nu.values(), *forms), data.coords, unit)
+
+
+def check_datum_entries(entries, coords: tuple[str, ...], unit: bool):
+    """Refuse the first entry that involves a coordinate, in the order of
+    ``coords``, or then, with a ``unit`` slot, lambda.  A variable missing
+    from the ring is left to :func:`_check_datum`."""
+    banned = (*coords, LAMBDA) if unit else coords
+    for p in entries:
         for v in banned:
-            if p.degree_in(v) > 0:
+            if v in p.ring.variables and p.degree_in(v) > 0:
                 raise ContextError(f"datum entry {p} must not involve the coordinate {v}")
 
 
@@ -682,7 +695,7 @@ class SXiReduceResult:
     lemma2: TotalResult
     sections: list[OrthoSection]
     certificate: Certificate
-    replay: CertVerdict
+    replay: Verdict
     verdicts: dict[str, Verdict]
 
     @property
@@ -758,12 +771,12 @@ def s_xi_reduce(data: RamondData,
                 [(-1, dc) for dc in differentials]
     combined = compose_certs(Certificate(ring, z, iso_claim, iso_moves, names),
                              lemma2.certificate)
-    replay = verify(combined)
+    replay = lemma2.read(_lemma2_flat(lemma2), combined, at=r).replay
     # the iso move for xi_i proves the transported action equals d_i
-    moves = [v for _, v in replay.move_results]
+    moves = replay.children[1:-1]
     for i in range(r):
         verdicts[f"match-xi{i + 1}"] = _reached(replay, moves, i, f"match-xi{i + 1}")
-    verdicts.update(lemma2.read(replay, _lemma2_flat(lemma2), at=r).verdicts)
+    verdicts.update(lemma2.verdicts)
     return SXiReduceResult(roots, f_list, lemma2, sections, combined, replay, verdicts)
 
 

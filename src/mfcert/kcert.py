@@ -192,69 +192,52 @@ class Certificate:
             total[c.digest()] += coeff
         return total
 
-
-@dataclass
-class CertVerdict:
-    ok: bool
-    move_results: list[tuple[int, Verdict]]
-    ledger_ok: bool
-    assumed_exact: list[str]
-    message: str = ""
-    # the curvature pass: d^2 = c * id for every complex, by digest
-    curvatures: dict[str, Verdict] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
+    def assumed_exact(self) -> list[str]:
+        """The names of the claim terms no homotopy move discharges, in claim
+        order: these rely on an exactness assumption."""
+        discharged = {m.complex.digest() for _, m in self.moves
+                      if isinstance(m, HomotopyMove)}
+        return list(dict.fromkeys(self.name_of(c) for coeff, c in self.claim
+                                  if coeff != 0 and c.digest() not in discharged))
 
 
-def verify(cert: Certificate) -> CertVerdict:
-    """Replay every move exactly and reduce the formal claim to zero."""
-    move_results: list[tuple[int, Verdict]] = []
-    all_ok = True
+def verify(cert: Certificate) -> Verdict:
+    """Replay every move exactly and reduce the formal claim to zero.
+
+    The verdict, of kind ``certificate``, is a tree.  Its first child is the
+    ``curvature`` pass, with one child per complex of ``cert.all_complexes()``
+    in that order.  When a complex lacks its recorded curvature, or a claim
+    term is curved, the replay stops there: the curvature pass is the only
+    child, and its message is the certificate's.  Otherwise one verdict per
+    move follows, then the ``ledger``, whose message is the certificate's.
+    """
     complexes = cert.all_complexes()
-    curvatures = {c.digest(): _curvature_verdict(c) for c in complexes}
+    checks = tuple(_curvature_verdict(c) for c in complexes)
     # no move is replayed unless every complex has its recorded curvature
-    for c in complexes:
-        if not curvatures[c.digest()]:
-            return CertVerdict(
-                False, [], False, [], curvatures=curvatures,
-                message=f"complex {cert.name_of(c)} does not have its recorded curvature")
-    for coeff, c in cert.claim:
-        if coeff != 0 and not c.curvature.is_zero():
-            return CertVerdict(
-                False, [], False, [], curvatures=curvatures,
-                message=f"claim term {cert.name_of(c)} is curved, not a complex")
-    for idx, (coeff, move) in enumerate(cert.moves):
+    stop = next((f"complex {cert.name_of(c)} does not have its recorded curvature"
+                 for c, v in zip(complexes, checks) if not v), "")
+    stop = stop or next((f"claim term {cert.name_of(c)} is curved, not a complex"
+                         for coeff, c in cert.claim
+                         if coeff != 0 and not c.curvature.is_zero()), "")
+    curvature = Verdict(not stop, "curvature", message=stop, children=checks)
+    if stop:
+        return Verdict(False, "certificate", message=stop, children=(curvature,))
+    moves = []
+    for _, move in cert.moves:
         try:
-            v = move.replay()
+            moves.append(move.replay())
         except MALFORMED_MOVE_ERRORS as exc:
-            v = Verdict(False, "move", message=f"malformed move data: {exc}")
-        move_results.append((idx, v))
-        if not v:
-            all_ok = False
-    combo: Counter = Counter()
+            moves.append(Verdict(False, "move", message=f"malformed move data: {exc}"))
+    residue = cert.claim_counter()
     for coeff, move in cert.moves:
         for digest, mult in move.relation().items():
-            combo[digest] += coeff * mult
-    residue = cert.claim_counter()
-    residue.subtract(combo)
-    residue = Counter({k: v for k, v in residue.items() if v != 0})
-    ledger_ok = not residue
-    message = ""
-    if not ledger_ok:
-        leftovers = ", ".join(f"{v} * [{cert.names.get(k, k)}]"
-                              for k, v in sorted(residue.items()))
-        message = f"unreduced terms: {leftovers}"
-    discharged = {m.complex.digest() for _, m in cert.moves
-                  if isinstance(m, HomotopyMove)}
-    assumed = []
-    for coeff, c in cert.claim:
-        if coeff != 0 and c.digest() not in discharged:
-            name = cert.name_of(c)
-            if name not in assumed:
-                assumed.append(name)
-    return CertVerdict(all_ok and ledger_ok, move_results, ledger_ok,
-                       assumed, message, curvatures)
+            residue[digest] -= coeff * mult
+    leftovers = ", ".join(f"{v} * [{cert.names.get(k, k)}]"
+                          for k, v in sorted(residue.items()) if v != 0)
+    message = f"unreduced terms: {leftovers}" if leftovers else ""
+    ledger = Verdict(not leftovers, "ledger", message=message)
+    return Verdict(all(moves) and ledger.ok, "certificate", message=message,
+                   children=(curvature, *moves, ledger))
 
 
 def _curvature_verdict(c: CurvedComplex) -> Verdict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import CurvedComplex, Filtration, SupportLocus, slice_basis
-from .constructions import RamondData, TauData
+from .constructions import RamondData, TauData, check_datum_entries
 from .kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
                     IsoPair, Move)
 from .polynomials import MAX_DEGREE, ParseError, Poly, PolyRing
@@ -344,8 +344,9 @@ def _tensor_lines(nu: dict[tuple[int, ...], tuple[Poly, ...]]) -> list[str]:
     return lines
 
 
-def _parse_tensor(reader: _Reader, ring: PolyRing, slots: int, width: int,
-                  degree: int) -> dict[tuple[int, ...], tuple[Poly, ...]]:
+def _parse_tensor(reader: _Reader, ring: PolyRing, coords: tuple[str, ...], unit: bool,
+                  width: int, degree: int) -> dict[tuple[int, ...], tuple[Poly, ...]]:
+    slots = len(coords) + unit
     line_no, parts = reader.expect("begin")
     if parts[:1] != ["tensor"]:
         raise FileFormatError("expected 'begin tensor'", line_no)
@@ -368,12 +369,14 @@ def _parse_tensor(reader: _Reader, ring: PolyRing, slots: int, width: int,
         vec = _parse_polys(ring, tail, line_no)
         if len(vec) != width:
             raise FileFormatError(f"tensor value needs {width} entries", line_no)
+        check_datum_entries(vec, coords, unit)
         nu[exps] = tuple(vec)
     return nu
 
 
-def _parse_matrix(reader: _Reader, ring: PolyRing, n_rows: int,
-                  n_cols: int) -> tuple[tuple[Poly, ...], ...]:
+def _parse_matrix(reader: _Reader, ring: PolyRing, n_rows: int, coords: tuple[str, ...],
+                  unit: bool) -> tuple[tuple[Poly, ...], ...]:
+    n_cols = len(coords) + unit
     line_no, parts = reader.expect("begin")
     if parts[:1] != ["matrix"]:
         raise FileFormatError("expected 'begin matrix'", line_no)
@@ -386,6 +389,7 @@ def _parse_matrix(reader: _Reader, ring: PolyRing, n_rows: int,
         if len(values) != n_cols:
             raise FileFormatError(
                 f"row has {len(values)} entries, expected {n_cols}", line_no)
+        check_datum_entries(values, coords, unit)
         rows.append(tuple(values))
     reader.expect("end")
     return tuple(rows)
@@ -452,21 +456,20 @@ def _parse_instance(reader: _Reader) -> Instance:
         r = _parse_r(reader)
         _, parts = reader.expect("c1rank")
         c1_rank = int(parts[0])
-        n0 = len(coords)
-        if kind == "tau-data":
-            dmat = _parse_matrix(reader, ring, c1_rank, n0 + 1)
-            nu = _parse_tensor(reader, ring, n0 + 1, c1_rank, r - 1)
+        # each entry is checked as it is read, so an error names its line
+        unit = kind == "tau-data"
+        dmat = _parse_matrix(reader, ring, c1_rank, coords, unit)
+        nu = _parse_tensor(reader, ring, coords, unit, c1_rank, r - 1)
+        if unit:
             return TauData(ring, r, coords, c1_rank, dmat, nu)
-        dmat = _parse_matrix(reader, ring, c1_rank, n0)
-        nu = _parse_tensor(reader, ring, n0, c1_rank, r - 1)
-        line_no, line = reader.next()
-        if not line.startswith("e1"):
-            raise FileFormatError("expected an 'e1' line", line_no)
-        e1 = tuple(_parse_polys(ring, line[2:], line_no))
-        line_no, line = reader.next()
-        if not line.startswith("e2"):
-            raise FileFormatError("expected an 'e2' line", line_no)
-        e2 = tuple(_parse_polys(ring, line[2:], line_no))
+        forms = []
+        for tag in ("e1", "e2"):
+            line_no, line = reader.next()
+            if not line.startswith(tag):
+                raise FileFormatError(f"expected an '{tag}' line", line_no)
+            forms.append(tuple(_parse_polys(ring, line[2:], line_no)))
+            check_datum_entries(forms[-1], coords, unit)
+        e1, e2 = forms
         return RamondData(ring, r, coords, c1_rank, dmat, nu, e1, e2)
     if kind == "cone-lift":
         complexes = {}

@@ -127,6 +127,14 @@ EXPECTED = {
         "d106e900378e1c06bb583e2015c743e474886cf04c49e702b6931d5c1cb38242",
     "verify corrupt.bundle json":
         "cadbc3b31ae1dda05633371424b5d4ca4d99c6030ff7cb2cfdb7ffc885cfd883",
+    "verify curved.bundle":
+        "756cda1d94b93b0de671cd4228ca2aec19912bc6a8e972d1c109c6796a5b682d",
+    "verify curved.bundle json":
+        "8377279623caae2c77161c02afae1e21788f641146e52d336b497a11569e644a",
+    "verify overclaim.bundle":
+        "8872ee812c53a1c66a9a3c9301b53196fb8df3831625fc1f9a5fbd1020350dc4",
+    "verify overclaim.bundle json":
+        "21d514d235d13269834b46a3b83f655caa0639c7c72f8903d85e3c5ecfc63405",
 }
 
 
@@ -152,6 +160,20 @@ def _corrupt_homotopy_entry(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _curve_first_complex(text: str) -> str:
+    """Record the curvature x for the first complex, which is flat."""
+    return text.replace("\ncurvature 0\n", "\ncurvature x\n", 1)
+
+
+def _raise_claim(text: str) -> str:
+    """Add one to the coefficient of the single claim term."""
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("claim "))
+    coeff, term = lines[row][len("claim "):].split(" * ")
+    lines[row] = f"claim {int(coeff) + 1} * {term}"
+    return "\n".join(lines) + "\n"
+
+
 def corpus() -> dict[str, str]:
     """Run every command in the current directory; artifact name -> SHA-256."""
     digests = {}
@@ -172,9 +194,13 @@ def corpus() -> dict[str, str]:
         digests[f"{tag} json"] = _sha(Path("report.json").read_bytes())
         if writes:
             digests[f"{tag} bundle"] = _sha(Path(bundle).read_bytes())
-    Path("corrupt.bundle").write_text(
-        _corrupt_homotopy_entry(Path("lemma1.bundle").read_text()))
-    for bundle in bundles + ["corrupt.bundle"]:
+    lemma1 = Path("lemma1.bundle").read_text()
+    derived = {"corrupt.bundle": _corrupt_homotopy_entry(lemma1),
+               "curved.bundle": _curve_first_complex(lemma1),
+               "overclaim.bundle": _raise_claim(lemma1)}
+    for bundle, text in derived.items():
+        Path(bundle).write_text(text)
+    for bundle in bundles + list(derived):
         digests[f"verify {bundle}"] = _sha(
             _run(["verify", bundle, "--json-report", "report.json"]))
         digests[f"verify {bundle} json"] = _sha(Path("report.json").read_bytes())

@@ -1,10 +1,12 @@
-"""Hostile values of ``r`` through a real ``python -m mfcert.cli`` process.
+"""Hostile values of ``r``, and datum entries that involve a banned variable,
+through a real ``python -m mfcert.cli`` process.
 
-Each case once hung or ended in a traceback.  It must now exit within the
-timeout with its exit code (2 at the file reader or the ``--r`` flag, 1 where
-a generator refuses an r below its kind's minimum), a located message as the
-last line of stderr, and no traceback.  A regressed hang fails the test at
-the timeout instead of stalling the suite.
+Each ``r`` case once hung or ended in a traceback.  It must now exit within
+the timeout with its exit code (2 at the file reader or the ``--r`` flag, 1
+where a generator refuses an r below its kind's minimum), a located message as
+the last line of stderr, and no traceback.  A regressed hang fails the test at
+the timeout instead of stalling the suite.  A banned datum entry exits 2 at
+its own line, naming the same variable under every string-hash seed.
 """
 
 import os
@@ -97,18 +99,84 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("command,text,code,message", [c[1:] for c in CASES],
-                         ids=[c[0] for c in CASES])
-def test_hostile_r_exits_with_a_located_message(command, text, code, message, tmp_path):
-    argv = list(command)
+# gen --kind tau-data --r 3 --size 1 --seed 1, its first row made to involve
+# both the coordinate xh1 and lambda
+TAU_XH1_LAMBDA = """mfcert instance v1
+kind tau-data
+field rationals
+variables x y xh1 lambda
+coords xh1
+r 3
+c1rank 2
+begin matrix dtilde
+row xh1*lambda, 1
+row 0, 0
+end matrix
+begin tensor nu
+term 0 2 : 1, -2
+end tensor
+"""
+
+DATUM = r"^error: line {line}: malformed instance data: datum entry {entry} " \
+        r"must not involve the coordinate {var}$"
+NO_COORD = r"^error: line {line}: malformed instance data: coordinate xh9 missing from the ring$"
+
+# a datum entry that involves a banned variable fails at its own line; with a
+# coordinate missing from the ring, the datum check names that at its end
+DATUM_CASES = [
+    ("tau-row", ["slambda"], TAU_XH1_LAMBDA,
+     DATUM.format(line=9, entry=r"xh1\*lambda", var="xh1")),
+    ("tau-term", ["slambda"], TAU_DATA.format(r=3, r1=2).replace(
+        "term 0 2 : 1", "term 0 2 : lambda"), DATUM.format(line=12, entry="lambda", var="lambda")),
+    ("ramond-row", ["sxi"], RAMOND_DATA.format(r=3, r1=2).replace(
+        "row 1", "row 2*xh1"), DATUM.format(line=9, entry=r"2\*xh1", var="xh1")),
+    ("ramond-e1", ["sxi"], RAMOND_DATA.format(r=3, r1=2).replace(
+        "e1 1", "e1 xh1"), DATUM.format(line=14, entry="xh1", var="xh1")),
+    ("ramond-e2", ["sxi"], RAMOND_DATA.format(r=3, r1=2).replace(
+        "e2 0", "e2 xh1^2"), DATUM.format(line=15, entry=r"xh1\^2", var="xh1")),
+    ("tau-coord-missing", ["slambda"], TAU_DATA.format(r=3, r1=2).replace(
+        "coords xh1", "coords xh9").replace("row 0, 1", "row xh1, 1"), NO_COORD.format(line=13)),
+    ("ramond-coord-missing", ["sxi"], RAMOND_DATA.format(r=3, r1=2).replace(
+        "coords xh1", "coords xh9").replace("e1 1", "e1 xh1"), NO_COORD.format(line=15)),
+]
+
+
+def _run_cli(argv, text, tmp_path, hash_seed=None):
     if text is not None:
         (tmp_path / "inst.txt").write_text(text)
-        argv.append("inst.txt")
+        argv = [*argv, "inst.txt"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run([sys.executable, "-m", "mfcert.cli", *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=TIMEOUT)
     assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+    return proc
+
+
+@pytest.mark.parametrize("command,text,code,message", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_hostile_r_exits_with_a_located_message(command, text, code, message, tmp_path):
+    proc = _run_cli(command, text, tmp_path)
     assert proc.returncode == code, proc.stderr
     assert re.match(message, proc.stderr.splitlines()[-1]), proc.stderr
-    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command,text,message", [c[1:] for c in DATUM_CASES],
+                         ids=[c[0] for c in DATUM_CASES])
+def test_a_banned_datum_entry_fails_at_its_line(command, text, message, tmp_path):
+    proc = _run_cli(command, text, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(message, proc.stderr.splitlines()[-1]), proc.stderr
+
+
+@pytest.mark.parametrize("hash_seed", [1, 4])
+def test_the_banned_variable_named_does_not_depend_on_the_string_hash(hash_seed, tmp_path):
+    # the coordinates are tried in order, then lambda: xh1 under every seed
+    proc = _run_cli(["slambda"], TAU_XH1_LAMBDA, tmp_path, hash_seed)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1] == ("error: line 9: malformed instance data: "
+                                            "datum entry xh1*lambda must not involve "
+                                            "the coordinate xh1")

@@ -11,6 +11,9 @@ the canonical print.
 
 The constructions build their filtered, null-homotopic totals in one
 function, so the filtration move is made in exactly one place.
+
+Every check reports as one verdict tree, ``complexes.Verdict``: no module
+defines a second verdict class for the replay or anything else to wrap it in.
 """
 
 import ast
@@ -55,3 +58,12 @@ def test_constructions_make_the_filtration_move_in_one_function():
               if isinstance(node, ast.Call) and "FiltrationMove" in (
                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
     assert makers == {"_filtered_total"}
+
+
+def test_the_only_verdict_class_is_complexes_verdict():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name.endswith("Verdict")]
+    assert found == ["complexes.Verdict"]

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from mfcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
-                    IsoPair, LambdaFamily, ODD, ParityMap, PolyRing,
+from mfcert import (Certificate, CurvedComplex, FiltrationMove, HomotopyMove,
+                    IsoMove, IsoPair, LambdaFamily, ODD, ParityMap, PolyRing,
                     SuperModule, SupportLocus, TwistFamily, compose_certs,
                     curvature_check, lemma1_build, lemma2_build, rationals,
                     verify)
@@ -30,6 +30,18 @@ def flat_complex():
     return curvature_check(v, d)
 
 
+def moves_of(v):
+    """The move verdicts of a replay: the children between the curvature
+    pass and the ledger, none when the curvature pass stopped the replay."""
+    return v.children[1:-1]
+
+
+def ledger_of(v):
+    """The ledger verdict of a replay that reached it."""
+    assert v.children[-1].kind == "ledger"
+    return v.children[-1]
+
+
 def test_trivial_iso_certificate():
     c = flat_complex()
     move = IsoMove(c, c, IsoPair(ParityMap.identity(c.module),
@@ -37,7 +49,7 @@ def test_trivial_iso_certificate():
     cert = Certificate(RING, SupportLocus(),
                        claim=[(1, c), (-1, c)], moves=[(1, move)])
     v = verify(cert)
-    assert v and v.ledger_ok
+    assert v and ledger_of(v)
     # an unsupported claim does not reduce
     cert2 = Certificate(RING, SupportLocus(), claim=[(1, c)],
                         moves=[(1, move)])
@@ -50,7 +62,7 @@ def test_lemma1_certificate_roundtrip_and_names():
     res = lemma1_build(fam)
     v = verify(res.certificate)
     assert v
-    assert v.assumed_exact == ["V.d0"]
+    assert res.certificate.assumed_exact() == ["V.d0"]
     text = write_bundle(res.certificate)
     again = parse_bundle(text)
     assert verify(again)
@@ -66,7 +78,7 @@ def test_ledger_failure_reports_leftovers():
                       [(coeff + 1, c) for coeff, c in cert.claim],
                       cert.moves, cert.names)
     v = verify(bad)
-    assert not v and not v.ledger_ok
+    assert not v and not ledger_of(v)
     assert "unreduced" in v.message
 
 
@@ -108,7 +120,7 @@ def test_corruption_flips_verdict_and_localizes():
         bad, idx = corrupt_one_move(res.certificate, rng)
         v = verify(bad)
         assert not v
-        failing = [i for i, mv in v.move_results if not mv]
+        failing = [i for i, mv in enumerate(moves_of(v)) if not mv]
         assert failing == [idx]
 
 
@@ -157,7 +169,7 @@ def test_partial_first_step_is_rejected():
     bad = Certificate(cert.ring, cert.z, cert.claim, moves, cert.names)
     v = verify(bad)
     assert not v
-    assert any("span" in mv.message for _, mv in v.move_results if not mv)
+    assert any("span" in mv.message for mv in moves_of(v) if not mv)
 
 
 def test_curved_claim_terms_are_rejected():
@@ -169,7 +181,6 @@ def test_curved_claim_terms_are_rejected():
 
 def test_recorded_curvature_is_rechecked():
     c = small_complex()
-    from mfcert import CurvedComplex
     lying = CurvedComplex(c.module, c.d, RING.zero)
     cert = Certificate(RING, SupportLocus(),
                        claim=[(1, lying), (-1, lying)], moves=[])
@@ -217,7 +228,7 @@ def test_malformed_move_data_fails_the_replay():
     moves = [(1, HomotopyMove(c, ParityMap.zero(wrong, wrong, ODD)))]
     v = verify(Certificate(cert.ring, cert.z, [], moves, {}))
     assert not v
-    assert "malformed move data" in v.move_results[0][1].message
+    assert "malformed move data" in moves_of(v)[0].message
 
 
 def test_engine_errors_in_replay_propagate(monkeypatch):
@@ -266,5 +277,36 @@ def test_altered_slice_target_fails_the_filtration_move():
     bundle = write_bundle(Certificate(cert.ring, cert.z, cert.claim, moves, {}))
     v = verify(parse_bundle(bundle))
     assert not v
-    assert [r.describe() for _, r in v.move_results] == [
+    assert [r.describe() for r in moves_of(v)] == [
         "filtration-move gr1: FAIL forward map is not a chain map", "homotopy: pass"]
+
+
+def test_replay_tree_has_the_curvature_pass_then_the_moves_then_the_ledger():
+    cert = _lemma1_certificate()
+    v = verify(cert)
+    assert v and v.kind == "certificate"
+    curvature, *moves, ledger = v.children
+    assert curvature.kind == "curvature" and curvature
+    assert len(curvature.children) == len(cert.all_complexes())
+    assert all(c.kind == "curvature" and c for c in curvature.children)
+    assert [m.kind for m in moves] == ["filtration-move", "homotopy"]
+    assert ledger.kind == "ledger" and ledger
+
+
+def test_a_stopped_replay_has_only_its_curvature_pass():
+    c, flat = small_complex(), flat_complex()
+    lying = CurvedComplex(c.module, c.d, RING.zero)   # d^2 = -x*y * id
+    move = IsoMove(flat, flat, IsoPair(ParityMap.identity(flat.module),
+                                       ParityMap.identity(flat.module)))
+    for claim, message, passing in [
+            ([(1, lying), (-1, flat)],
+             "complex lying does not have its recorded curvature", [False, True]),
+            ([(1, c), (-1, flat)],
+             "claim term curved is curved, not a complex", [True, True])]:
+        names = {lying.digest(): "lying", c.digest(): "curved"}
+        v = verify(Certificate(RING, SupportLocus(), claim, [(1, move)], names))
+        assert not v and v.kind == "certificate"
+        (curvature,) = v.children
+        assert curvature.kind == "curvature" and not curvature
+        assert v.message == curvature.message == message
+        assert [bool(k) for k in curvature.children] == passing
