@@ -12,12 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (ChainMap, CurvatureError, SampleError, SupportLocus,
-                        curvature_check, strict_exactness_sample)
-from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
-                            TwistFamily, cone_lift_check, lemma1_build,
-                            lemma2_build, remark_decompose, s_lambda_check,
-                            s_xi_reduce)
+from .complexes import (ChainMap, CurvatureError, InvariantError, SampleError,
+                        SupportLocus, curvature_check, strict_exactness_sample)
 from .kcert import verify as kcert_verify
 from .polynomials import ParseError
 from .scalars import FieldError, ScalarField, cyclotomic_field
@@ -187,6 +183,7 @@ def cmd_check_mf(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
+    from .constructions import LambdaFamily, lemma1_build
     instance = _load(args.input)
     if not isinstance(instance, LambdaInstance):
         raise FileFormatError("lemma1 needs a lambda-family instance")
@@ -204,6 +201,7 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_lemma2(args) -> int:
+    from .constructions import TwistFamily, lemma2_build
     instance = _load(args.input)
     if not isinstance(instance, TwistInstance):
         raise FileFormatError("lemma2 needs a twist-family instance")
@@ -222,6 +220,7 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_remark(args) -> int:
+    from .constructions import remark_decompose
     instance = _load(args.input)
     if not isinstance(instance, RemarkInstance):
         raise FileFormatError("remark needs a remark-family instance")
@@ -241,6 +240,7 @@ def cmd_remark(args) -> int:
 
 
 def cmd_slambda(args) -> int:
+    from .constructions import TauData, lemma1_build, s_lambda_check
     instance = _load(args.input)
     if not isinstance(instance, TauData):
         raise FileFormatError("slambda needs a tau-data instance")
@@ -256,6 +256,7 @@ def cmd_slambda(args) -> int:
 
 
 def cmd_sxi(args) -> int:
+    from .constructions import RamondData, s_xi_reduce
     instance = _load(args.input)
     if not isinstance(instance, RamondData):
         raise FileFormatError("sxi needs a ramond-data instance")
@@ -272,6 +273,7 @@ def cmd_sxi(args) -> int:
 
 
 def cmd_conelift(args) -> int:
+    from .constructions import cone_lift_check
     instance = _load(args.input)
     if not isinstance(instance, ConeLiftInstance):
         raise FileFormatError("conelift needs a cone-lift instance")

@@ -33,6 +33,10 @@ class SampleError(RuntimeError):
     """Point sampling could not find a point off the excluded locus."""
 
 
+class InvariantError(ValueError):
+    """Constructor data violates its defining identity."""
+
+
 @dataclass(frozen=True)
 class SupportLocus:
     """A closed locus given by generators; no generators means the whole space."""

@@ -27,18 +27,16 @@ from math import factorial, prod
 
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
-from .complexes import (ChainMap, Cone, CurvedComplex, Filtration, SupportLocus,
-                        Verdict, cone, is_chain_map, is_homotopy, slice_basis)
+from .complexes import (ChainMap, Cone, CurvedComplex, Filtration,
+                        InvariantError, SupportLocus, Verdict, cone,
+                        is_chain_map, is_homotopy, slice_basis)
 from .kcert import (Certificate, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, compose_certs, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
+from .serialize import check_datum_entries
 from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
                        assemble, direct_sum_modules, parity_unit, residual)
-
-
-class InvariantError(ValueError):
-    """Constructor data violates its defining identity."""
 
 
 def _vanishes(kind: str, diff: Poly, message: str = "") -> Verdict:
@@ -513,17 +511,6 @@ def _check_datum(data, matrix: str, unit: bool, forms=()):
         if len(m) != n0 + unit or sum(m) != data.r - 1 or len(vec) != data.c1_rank:
             raise ShapeError(f"bad symmetric tensor key {m}")
     check_datum_entries(chain(*rows, *data.nu.values(), *forms), data.coords, unit)
-
-
-def check_datum_entries(entries, coords: tuple[str, ...], unit: bool):
-    """Refuse the first entry that involves a coordinate, in the order of
-    ``coords``, or then, with a ``unit`` slot, lambda.  A variable missing
-    from the ring is left to :func:`_check_datum`."""
-    banned = (*coords, LAMBDA) if unit else coords
-    for p in entries:
-        for v in banned:
-            if v in p.ring.variables and p.degree_in(v) > 0:
-                raise ContextError(f"datum entry {p} must not involve the coordinate {v}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .constructions import (InvariantError, LambdaFamily, RamondData, TauData,
-                            TwistFamily, _multisets, apply_sym_tensor,
-                            multinomial)
+from .complexes import InvariantError
+from .constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
+                            _multisets, apply_sym_tensor, multinomial)
 from .polynomials import LAMBDA, Poly, PolyRing, exact_divide
 from .scalars import ScalarField, cyclotomic_field
 from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, LambdaInstance,

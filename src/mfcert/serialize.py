@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import CurvedComplex, Filtration, SupportLocus, slice_basis
-from .constructions import RamondData, TauData, check_datum_entries
 from .kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
                     IsoPair, Move)
-from .polynomials import MAX_DEGREE, ParseError, Poly, PolyRing
+from .polynomials import LAMBDA, MAX_DEGREE, ContextError, ParseError, Poly, PolyRing
 from .scalars import ScalarField, cyclotomic_field
 from .supermod import EVEN, ODD, ParityMap, ShapeError, SuperModule
 
@@ -85,10 +84,6 @@ class ConeLiftInstance:
     h: ParityMap   # A -> C, odd
 
 
-Instance = (MfInstance | LambdaInstance | RemarkInstance | TwistInstance
-            | TauData | RamondData | ConeLiftInstance)
-
-
 # ---------------------------------------------------------------------------
 # low-level reading
 # ---------------------------------------------------------------------------
@@ -126,7 +121,7 @@ class _Reader:
 
 
 def _parse_field(parts: list[str], line_no: int) -> ScalarField:
-    if parts and parts[0] == "rationals":
+    if parts == ["rationals"]:
         return cyclotomic_field(1)
     if len(parts) == 2 and parts[0] == "cyclotomic":
         order = int(parts[1])
@@ -260,7 +255,8 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
 # instance files
 # ---------------------------------------------------------------------------
 
-def write_instance(instance: Instance) -> str:
+def write_instance(instance) -> str:
+    from .constructions import RamondData, TauData
     lines = [MAGIC_INSTANCE]
     if isinstance(instance, MfInstance):
         ring = instance.module.ring
@@ -344,6 +340,17 @@ def _tensor_lines(nu: dict[tuple[int, ...], tuple[Poly, ...]]) -> list[str]:
     return lines
 
 
+def check_datum_entries(entries, coords: tuple[str, ...], unit: bool):
+    """Refuse the first entry that involves a coordinate, in the order of
+    ``coords``, or then, with a ``unit`` slot, lambda.  A variable missing
+    from the ring is left to ``constructions._check_datum``."""
+    banned = (*coords, LAMBDA) if unit else coords
+    for p in entries:
+        for v in banned:
+            if v in p.ring.variables and p.degree_in(v) > 0:
+                raise ContextError(f"datum entry {p} must not involve the coordinate {v}")
+
+
 def _parse_tensor(reader: _Reader, ring: PolyRing, coords: tuple[str, ...], unit: bool,
                   width: int, degree: int) -> dict[tuple[int, ...], tuple[Poly, ...]]:
     slots = len(coords) + unit
@@ -395,7 +402,7 @@ def _parse_matrix(reader: _Reader, ring: PolyRing, n_rows: int, coords: tuple[st
     return tuple(rows)
 
 
-def parse_instance(text: str) -> Instance:
+def parse_instance(text: str):
     reader = _Reader(text)
     try:
         return _parse_instance(reader)
@@ -406,7 +413,7 @@ def parse_instance(text: str) -> Instance:
                               reader.last_line) from None
 
 
-def _parse_instance(reader: _Reader) -> Instance:
+def _parse_instance(reader: _Reader):
     line_no, line = reader.next()
     if line != MAGIC_INSTANCE:
         raise FileFormatError(f"not an instance file (missing {MAGIC_INSTANCE!r})",
@@ -415,7 +422,9 @@ def _parse_instance(reader: _Reader) -> Instance:
     kind = parts[0] if parts else ""
     line_no, parts = reader.expect("field")
     fld = _parse_field(parts, line_no)
-    _, names = reader.expect("variables")
+    names_line, names = reader.expect("variables")
+    if kind in ("lambda-family", "remark-family", "tau-data") and LAMBDA not in names:
+        raise FileFormatError(f"{kind} needs the variable '{LAMBDA}'", names_line)
     ring = PolyRing(fld, tuple(names))
 
     if kind == "mf":
@@ -460,6 +469,7 @@ def _parse_instance(reader: _Reader) -> Instance:
         unit = kind == "tau-data"
         dmat = _parse_matrix(reader, ring, c1_rank, coords, unit)
         nu = _parse_tensor(reader, ring, coords, unit, c1_rank, r - 1)
+        from .constructions import RamondData, TauData
         if unit:
             return TauData(ring, r, coords, c1_rank, dmat, nu)
         forms = []

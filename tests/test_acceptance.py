@@ -10,19 +10,20 @@ import time
 
 import pytest
 
-from mfcert import (ChainMap, LambdaFamily, ODD, OrthoSection, ParityMap,
-                    PolyRing, SupportLocus, TwistFamily,
-                    clifford_square, cone, cone_lift,
-                    cyclotomic_coupling, cyclotomic_field, is_homotopy,
-                    lemma1_build, lemma2_build, parity_unit, rationals,
-                    remark_decompose, roots_of_unity, s_lambda_check,
-                    s_xi_reduce, spinor_module, strict_exactness_sample,
-                    verify)
-from mfcert.generators import (_rand_poly, gen_cone_lift, gen_lambda_family,
-                               gen_ramond_data, gen_tau_data, gen_twist_family)
+from mfcert.clifford import OrthoSection, clifford_square, spinor_module
+from mfcert.complexes import (ChainMap, SupportLocus, cone, is_homotopy,
+                              strict_exactness_sample)
+from mfcert.constructions import (LambdaFamily, TwistFamily, cone_lift,
+                                  cyclotomic_coupling, lemma1_build, lemma2_build,
+                                  remark_decompose, s_lambda_check, s_xi_reduce)
+from mfcert.generators import (gen_cone_lift, gen_lambda_family, gen_ramond_data,
+                               gen_tau_data, gen_twist_family, _rand_poly)
+from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair,
+                          verify)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import cyclotomic_field, rationals, roots_of_unity
 from mfcert.serialize import parse_instance, write_instance
-from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove,
-                          IsoPair)
+from mfcert.supermod import ODD, ParityMap, parity_unit
 
 # registry of (complex, locus-cycle position) pairs certified null-homotopic,
 # shared with the exactness-consistency criterion
@@ -166,7 +167,7 @@ def test_criterion_4_cyclotomic_identities():
 def test_criterion_5_deformed_section_chain():
     ring = PolyRing(rationals(), ("x", "y", "xh1", "lambda"))
     z, one = ring.zero, ring.one
-    from mfcert import TauData
+    from mfcert.constructions import TauData
     documented = TauData(ring, 3, ("xh1",), 1, ((z, one),), {(0, 2): (one,)})
     data = [documented]
     r_values = [2, 3, 4]
@@ -374,7 +375,7 @@ def test_criterion_8_mutation_soundness():
 
 def test_criterion_9_exactness_oracle_consistency():
     assert NULL_HOMOTOPIC, "earlier criteria populate the registry"
-    from mfcert import remark_decompose
+    from mfcert.constructions import remark_decompose
     from mfcert.generators import gen_remark_family
     for seed in range(6):   # root-decomposition totals join the registry too
         rem = gen_remark_family(1 + seed % 3, seed)

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (ODD, CurvedComplex, ParityMap, Poly, PolyRing, SuperModule,
-                    cyclotomic_field)
 from mfcert.cli import main
-from mfcert.scalars import Scalar
+from mfcert.complexes import CurvedComplex
+from mfcert.polynomials import Poly, PolyRing
+from mfcert.scalars import Scalar, cyclotomic_field
 from mfcert.serialize import parse_bundle
+from mfcert.supermod import ODD, ParityMap, SuperModule
 
 FIELDS = {r: cyclotomic_field(r) for r in (1, 3, 4, 5, 8)}
 VARS = ("x", "y", "lambda")

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (OrthoSection, ParityMap, PolyRing, clifford_action,
-                    clifford_square, contraction_operator, rationals,
-                    spinor_module, spinor_split, wedge_operator)
+from mfcert.clifford import (OrthoSection, clifford_action, clifford_square,
+                             contraction_operator, spinor_module, spinor_split,
+                             wedge_operator)
 from mfcert.generators import _rand_poly
-from mfcert.supermod import ShapeError
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import rationals
+from mfcert.supermod import ParityMap, ShapeError
 
 RING = PolyRing(rationals(), ("x", "y", "z"))
 VARS = ("x", "y", "z")

@@ -2,13 +2,14 @@
 
 import pytest
 
-from mfcert import (EVEN, ODD, ChainMap, CurvatureError, CurvedComplex,
-                    Filtration, ParityMap, PolyRing, SampleError, SuperModule,
-                    SupportLocus, cone, curvature_check,
-                    filtration_verify, is_chain_map, is_homotopy, parity_unit,
-                    rationals, strict_exactness_sample)
-from mfcert.complexes import graded_slice
-from mfcert.supermod import assemble, direct_sum_modules
+from mfcert.complexes import (ChainMap, CurvatureError, CurvedComplex, Filtration,
+                              SampleError, SupportLocus, cone, curvature_check,
+                              filtration_verify, graded_slice, is_chain_map,
+                              is_homotopy, strict_exactness_sample)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import rationals
+from mfcert.supermod import (EVEN, ODD, ParityMap, SuperModule, assemble,
+                             direct_sum_modules, parity_unit)
 
 RING = PolyRing(rationals(), ("x", "y", "lambda"))
 

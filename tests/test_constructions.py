@@ -4,17 +4,19 @@ import random
 
 import pytest
 
-from mfcert import (EVEN, ODD, ChainMap, InvariantError, LambdaFamily,
-                    ParityMap, PolyRing, RamondData, SuperModule,
-                    TauData, TwistFamily, cone, cone_lift,
-                    curvature_check, cyclotomic_coupling, cyclotomic_field,
-                    is_homotopy, lemma1_build, lemma2_build, parity_unit,
-                    rationals, remark_decompose, roots_of_unity, s_lambda_check,
-                    s_xi_reduce, verify)
-from mfcert.generators import (gen_cone_lift, gen_ramond_data,
-                               gen_tau_data, gen_twist_family)
-from mfcert.kcert import IsoMove, IsoPair
-from mfcert.supermod import assemble, direct_sum_modules
+from mfcert.complexes import (ChainMap, InvariantError, cone, curvature_check,
+                              is_homotopy)
+from mfcert.constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
+                                  cone_lift, cyclotomic_coupling, lemma1_build,
+                                  lemma2_build, remark_decompose, s_lambda_check,
+                                  s_xi_reduce)
+from mfcert.generators import (gen_cone_lift, gen_ramond_data, gen_tau_data,
+                               gen_twist_family)
+from mfcert.kcert import IsoMove, IsoPair, verify
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import cyclotomic_field, rationals, roots_of_unity
+from mfcert.supermod import (EVEN, ODD, ParityMap, SuperModule, assemble,
+                             direct_sum_modules, parity_unit)
 
 RING = PolyRing(rationals(), ("x", "y", "lambda"))
 
@@ -326,7 +328,7 @@ def test_lemma2_filtration_is_block_triangular():
 def tensor_trick_family(r):
     """A deformation family whose constant term is contractible: the tensor
     of a two-term contraction with a rank-one family."""
-    from mfcert import tensor, tensor_module
+    from mfcert.supermod import tensor, tensor_module
     v1 = SuperModule.free(RING, 1, 1, "a")
     v2 = SuperModule.free(RING, 1, 1, "b")
     z = RING.zero
@@ -345,7 +347,7 @@ def tensor_trick_family(r):
 def test_lemma1_with_discharged_exactness(r):
     """When the constant-term complex is itself null-homotopic, composing in
     that homotopy empties the assumed-exactness list of the certificate."""
-    from mfcert import Certificate, HomotopyMove, compose_certs
+    from mfcert.kcert import Certificate, HomotopyMove, compose_certs
     family, h0 = tensor_trick_family(r)
     res = lemma1_build(family)
     assert res.ok

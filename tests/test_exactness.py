@@ -13,18 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (ODD, CurvatureError, CurvedComplex, LambdaFamily,
-                    ParityMap, PolyRing, SuperModule, SupportLocus,
-                    TwistFamily, curvature_check, cyclotomic_field,
-                    lemma1_build, lemma2_build, s_xi_reduce,
-                    strict_exactness_sample)
 from mfcert import complexes
-from mfcert.complexes import (_bareiss_rank, _IntegerBlock, _point_ranks,
-                              _product_is_zero, _rank_mod_prime)
-from mfcert.generators import (gen_lambda_family, gen_ramond_data,
-                               gen_twist_family)
-from mfcert.scalars import Scalar
-from mfcert.supermod import tensor
+from mfcert.complexes import (CurvatureError, CurvedComplex, SupportLocus,
+                              curvature_check, strict_exactness_sample, _bareiss_rank,
+                              _IntegerBlock, _point_ranks, _product_is_zero,
+                              _rank_mod_prime)
+from mfcert.constructions import (LambdaFamily, TwistFamily, lemma1_build, lemma2_build,
+                                  s_xi_reduce)
+from mfcert.generators import gen_lambda_family, gen_ramond_data, gen_twist_family
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import Scalar, cyclotomic_field
+from mfcert.supermod import ODD, ParityMap, SuperModule, tensor
 from reference import ScalarBlock
 
 FIELDS = {r: cyclotomic_field(r) for r in (1, 3, 4, 5)}

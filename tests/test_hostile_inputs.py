@@ -6,7 +6,8 @@ the timeout with its exit code (2 at the file reader or the ``--r`` flag, 1
 where a generator refuses an r below its kind's minimum), a located message as
 the last line of stderr, and no traceback.  A regressed hang fails the test at
 the timeout instead of stalling the suite.  A banned datum entry exits 2 at
-its own line, naming the same variable under every string-hash seed.
+its own line, naming the same variable under every string-hash seed.  A
+header line that the file's kind cannot use exits 2 at that line.
 """
 
 import os
@@ -141,6 +142,54 @@ DATUM_CASES = [
 ]
 
 
+# a lambda-family (once a KeyError from the coefficient split), a
+# remark-family (once an uncaught ContextError) or a tau-data (once located at
+# its last line) over a ring without lambda
+REMARK_FAMILY = """mfcert instance v1
+kind remark-family
+field rationals
+variables x
+target x^2
+roots 0, 0
+even e0
+odd o0
+begin map d
+parity odd
+block odd<-even
+row x
+block even<-odd
+row x
+end map
+"""
+
+BUNDLE = """mfcert bundle v1
+field {field}
+variables x
+zgens
+claim
+"""
+
+HEADER = r"^error: line {line}: {message}$"
+
+# id, command, file text, last stderr line
+HEADER_CASES = [
+    ("lemma1-no-lambda", ["lemma1"],
+     LAMBDA_FAMILY.format(r=2).replace("x lambda", "x").replace("row lambda", "row x"),
+     HEADER.format(line=4, message="lambda-family needs the variable 'lambda'")),
+    ("remark-no-lambda", ["remark"], REMARK_FAMILY,
+     HEADER.format(line=4, message="remark-family needs the variable 'lambda'")),
+    ("slambda-no-lambda", ["slambda"],
+     TAU_DATA.format(r=3, r1=2).replace("xh1 lambda", "xh1"),
+     HEADER.format(line=4, message="tau-data needs the variable 'lambda'")),
+    ("instance-field-extra", ["check-mf"], LAMBDA_FAMILY.format(r=2).replace(
+        "kind lambda-family", "kind mf").replace("r 2\n", "").replace(
+        "field rationals", "field rationals extra"),
+     HEADER.format(line=3, message="bad field spec 'rationals extra'")),
+    ("bundle-field-extra", ["verify"], BUNDLE.format(field="rationals extra"),
+     HEADER.format(line=2, message="bad field spec 'rationals extra'")),
+]
+
+
 def _run_cli(argv, text, tmp_path, hash_seed=None):
     if text is not None:
         (tmp_path / "inst.txt").write_text(text)
@@ -167,6 +216,14 @@ def test_hostile_r_exits_with_a_located_message(command, text, code, message, tm
 @pytest.mark.parametrize("command,text,message", [c[1:] for c in DATUM_CASES],
                          ids=[c[0] for c in DATUM_CASES])
 def test_a_banned_datum_entry_fails_at_its_line(command, text, message, tmp_path):
+    proc = _run_cli(command, text, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(message, proc.stderr.splitlines()[-1]), proc.stderr
+
+
+@pytest.mark.parametrize("command,text,message", [c[1:] for c in HEADER_CASES],
+                         ids=[c[0] for c in HEADER_CASES])
+def test_an_unusable_header_line_fails_at_its_line(command, text, message, tmp_path):
     proc = _run_cli(command, text, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert re.match(message, proc.stderr.splitlines()[-1]), proc.stderr

@@ -14,14 +14,27 @@ function, so the filtration move is made in exactly one place.
 
 Every check reports as one verdict tree, ``complexes.Verdict``: no module
 defines a second verdict class for the replay or anything else to wrap it in.
+
+The checker, the modules that ``verify`` runs, imports no builder at module
+level, and the package imports only ``verify``: replaying a bundle never
+loads the code that built it.  A fresh interpreter confirms it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import mfcert
+from mfcert.cli import main
 
 PACKAGE = Path(mfcert.__file__).parent
+
+CHECKER = ("kcert", "complexes", "supermod", "polynomials", "scalars", "serialize")
+BUILDERS = ("constructions", "clifford", "generators")
 
 
 def test_package_has_no_assert_statements():
@@ -67,3 +80,59 @@ def test_the_only_verdict_class_is_complexes_verdict():
         found += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and node.name.endswith("Verdict")]
     assert found == ["complexes.Verdict"]
+
+
+def _module_level_imports(node):
+    """(line, module) of every import run when the module is imported: those
+    outside function bodies, with ``mfcert.`` and leading dots stripped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((child.lineno, a.name.removeprefix("mfcert."))
+                        for a in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            if child.module in (None, "mfcert"):   # from . import kcert
+                yield from ((child.lineno, a.name) for a in child.names)
+            else:
+                yield child.lineno, child.module.removeprefix("mfcert.")
+        yield from _module_level_imports(child)
+
+
+def test_the_checker_imports_no_builder_and_the_package_only_verify():
+    found = []
+    for name in CHECKER:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        found += [f"{name}.py:{line} imports {mod}"
+                  for line, mod in _module_level_imports(tree) if mod in BUILDERS]
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    found += [f"__init__.py:{line} imports {mod}"
+              for line, mod in _module_level_imports(tree) if mod != "kcert"]
+    assert found == []
+
+
+@pytest.fixture(scope="module")
+def lemma1_bundle(tmp_path_factory):
+    work = tmp_path_factory.mktemp("bundle")
+    inst, bundle = work / "inst.txt", work / "lemma1.bundle"
+    assert main(["gen", "--kind", "lambda-family", "--out", str(inst)]) == 0
+    assert main(["lemma1", str(inst), "--out", str(bundle)]) == 0
+    return bundle
+
+
+@pytest.mark.parametrize("run", [
+    "from mfcert.cli import main\nassert main(['verify', sys.argv[1]]) == 0",
+    "import mfcert.serialize\nmfcert.serialize.parse_bundle(open(sys.argv[1]).read())",
+    "import mfcert.kcert",
+], ids=["cli-verify", "parse-bundle", "import-kcert"])
+def test_replaying_a_bundle_loads_no_builder(run, lemma1_bundle):
+    code = f"import sys\n{run}\nprint(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                                 if p])}
+    proc = subprocess.run([sys.executable, "-c", code, str(lemma1_bundle)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "mfcert.kcert" in loaded
+    assert loaded.isdisjoint(f"mfcert.{name}" for name in BUILDERS)

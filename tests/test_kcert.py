@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from mfcert import (Certificate, CurvedComplex, FiltrationMove, HomotopyMove,
-                    IsoMove, IsoPair, LambdaFamily, ODD, ParityMap, PolyRing,
-                    SuperModule, SupportLocus, TwistFamily, compose_certs,
-                    curvature_check, lemma1_build, lemma2_build, rationals,
-                    verify)
+from mfcert.complexes import CurvedComplex, SupportLocus, curvature_check
+from mfcert.constructions import LambdaFamily, TwistFamily, lemma1_build, lemma2_build
 from mfcert.generators import gen_lambda_family, gen_twist_family
+from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair,
+                          compose_certs, verify)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import rationals
 from mfcert.serialize import parse_bundle, write_bundle
-from mfcert.supermod import ShapeError
+from mfcert.supermod import EVEN, ODD, ParityMap, ShapeError, SuperModule
 
 RING = PolyRing(rationals(), ("x", "y", "lambda"))
 
@@ -190,7 +191,8 @@ def test_recorded_curvature_is_rechecked():
 
 def test_cyclotomic_bundle_file_roundtrip(tmp_path):
     # zeta-coefficient matrices survive the trip to disk and back
-    from mfcert import RamondData, cyclotomic_field, s_xi_reduce
+    from mfcert.scalars import cyclotomic_field
+    from mfcert.constructions import RamondData, s_xi_reduce
     ring = PolyRing(cyclotomic_field(3), ("xh1", "lambda"))
     one = ring.one
     data = RamondData(ring, 3, ("xh1",), 1,
@@ -310,3 +312,113 @@ def test_a_stopped_replay_has_only_its_curvature_pass():
         assert curvature.kind == "curvature" and not curvature
         assert v.message == curvature.message == message
         assert [bool(k) for k in curvature.children] == passing
+
+
+# Each rejection path of the replay, alone: the claim of each certificate
+# below is its one move's relation, so the ledger balances and the move's
+# own check is the only one that can fail.
+
+def replay_one(move):
+    """The verdict of ``move`` replayed by :func:`verify` in a certificate
+    whose claim is the move's relation; the certificate must read FAIL."""
+    by_digest = {c.digest(): c for c in move.involved()}
+    claim = [(n, by_digest[d]) for d, n in move.relation().items() if n]
+    v = verify(Certificate(RING, SupportLocus(), claim, [(1, move)]))
+    assert ledger_of(v) and not v
+    (mv,) = moves_of(v)
+    return mv
+
+
+def split_pair():
+    """A flat complex C, the flat complex C + D, and the inclusion of C and
+    the projection onto C: chain maps with proj . incl = id but not
+    incl . proj = id."""
+    c = flat_complex()
+    v = SuperModule.free(RING, 2, 2)
+    rows = [[RING.zero] * 4 for _ in range(4)]
+    rows[2][0], rows[3][1] = RING.parse("x"), RING.parse("y")
+    cd = curvature_check(v, ParityMap(v, v, ODD, rows))
+    one, z = RING.one, RING.zero
+    incl = ParityMap(c.module, v, EVEN, [[one, z], [z, z], [z, one], [z, z]])
+    proj = ParityMap(v, c.module, EVEN, [[one, z, z, z], [z, z, one, z]])
+    return c, cd, incl, proj
+
+
+def test_a_split_inclusion_and_projection_are_no_isomorphism():
+    c, cd, incl, proj = split_pair()
+    assert replay_one(IsoMove(c, cd, IsoPair(incl, proj))).describe() == \
+        "iso-move: FAIL forward . inverse is not the identity"
+    assert replay_one(IsoMove(cd, c, IsoPair(proj, incl))).describe() == \
+        "iso-move: FAIL inverse . forward is not the identity"
+
+
+def test_an_iso_move_checks_parity_and_shapes():
+    c, cd, incl, proj = split_pair()
+    ident = ParityMap.identity(c.module)
+    for move, message in [
+            (IsoMove(c, c, IsoPair(c.d, c.d)), "isomorphisms must be even"),
+            (IsoMove(c, cd, IsoPair(ident, proj)), "forward map has the wrong shape"),
+            (IsoMove(c, cd, IsoPair(incl, ident)), "inverse map has the wrong shape")]:
+        assert replay_one(move).describe() == f"iso-move: FAIL {message}"
+
+
+def test_an_iso_move_between_different_curvatures_fails():
+    # a claim term must be flat, so two curved complexes are replayed directly
+    c = small_complex()   # curvature -x*y
+    v = c.module
+    other = curvature_check(v, ParityMap(v, v, ODD, [[RING.zero, RING.parse("-x")],
+                                                     [RING.parse("x"), RING.zero]]))
+    ident = ParityMap.identity(v)
+    assert other.curvature != c.curvature
+    assert IsoMove(c, other, IsoPair(ident, ident)).replay().describe() == \
+        "iso-move: FAIL curvature mismatch"
+
+
+def test_an_even_homotopy_witness_fails_before_the_homotopy_check():
+    c = flat_complex()
+    move = HomotopyMove(c, ParityMap.identity(c.module))
+    assert replay_one(move).describe() == "homotopy-move: FAIL witness must be odd"
+
+
+def test_a_filtration_move_needs_one_target_and_one_iso_per_step():
+    _, fmove = _lemma1_certificate().moves[0]
+    assert isinstance(fmove, FiltrationMove) and len(fmove.steps) > 1
+    cx, steps, targets, isos = fmove.complex, fmove.steps, fmove.targets, fmove.isos
+    for short in (FiltrationMove(cx, steps, targets[:-1], isos[:-1]),
+                  FiltrationMove(cx, steps, targets, isos[:-1])):
+        assert replay_one(short).describe() == ("filtration-move: FAIL one target and "
+                                                "one isomorphism per step required")
+
+
+def test_a_filtration_move_whose_first_step_does_not_span_fails():
+    _, fmove = _lemma1_certificate().moves[0]
+    cx, steps = fmove.complex, fmove.steps
+    for first in ((), steps[0][:-1]):
+        partial = FiltrationMove(cx, (first, *steps[1:]), fmove.targets, fmove.isos)
+        assert replay_one(partial).describe() == \
+            "filtration-move: FAIL first filtration step must span the module"
+    assert replay_one(FiltrationMove(cx, (), (), ())).describe() == \
+        "filtration-move: FAIL first filtration step must span the module"
+
+
+def test_a_malformed_move_fails_a_certificate_whose_ledger_balances():
+    cert = _lemma1_certificate()
+    idx, c = next((i, m.complex) for i, (_, m) in enumerate(cert.moves)
+                  if isinstance(m, HomotopyMove))
+    wrong = SuperModule.free(RING, c.module.even_rank + 1, c.module.odd_rank)
+    moves = list(cert.moves)
+    moves[idx] = (moves[idx][0], HomotopyMove(c, ParityMap.zero(wrong, wrong, ODD)))
+    v = verify(Certificate(cert.ring, cert.z, cert.claim, moves, cert.names))
+    assert ledger_of(v) and not v
+    bad = moves_of(v)[idx]
+    assert bad.kind == "move" and not bad
+    assert bad.message.startswith("malformed move data: ")
+    assert all(m for i, m in enumerate(moves_of(v)) if i != idx)
+
+
+def test_compose_ring_mismatch():
+    c = flat_complex()
+    a = Certificate(RING, SupportLocus(), [(1, c), (-1, c)], [])
+    b = Certificate(PolyRing(rationals(), ("x", "y")), SupportLocus(), [], [])
+    with pytest.raises(ShapeError, match="different rings"):
+        compose_certs(a, b)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (ContextError, DivisionError, ParseError, Poly, PolyRing,
-                    cyclotomic_field, exact_divide, rationals)
-from mfcert.polynomials import MAX_DEGREE, _Parser, _read_printed
-from mfcert.scalars import Scalar
+from mfcert.polynomials import (MAX_DEGREE, ContextError, DivisionError, ParseError,
+                                Poly, PolyRing, exact_divide, _Parser, _read_printed)
+from mfcert.scalars import Scalar, cyclotomic_field, rationals
 
 
 @pytest.fixture

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (EVEN, ODD, CurvatureError, Certificate, CurvedComplex,
-                    InvariantError, ParityMap, PolyRing, ShapeError,
-                    SuperModule, SupportLocus, curvature_check, is_chain_map,
-                    is_homotopy, rationals, remark_decompose, verify)
-from mfcert.complexes import ChainMap
-from mfcert.kcert import IsoMove, IsoPair
-from mfcert.supermod import FRAME_MISMATCH, residual, scalar_square
+from mfcert.complexes import (ChainMap, CurvatureError, CurvedComplex, InvariantError,
+                              SupportLocus, curvature_check, is_chain_map, is_homotopy)
+from mfcert.constructions import remark_decompose
+from mfcert.kcert import Certificate, IsoMove, IsoPair, verify
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import rationals
+from mfcert.supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, ShapeError,
+                             SuperModule, residual, scalar_square)
 from reference import (dense_add, dense_compose, dense_neg, dense_scalar,
                        first_nonzero, ref, ref_found)
 from test_sparse_maps import RINGS, _as_lists, _dense, _module, _poly

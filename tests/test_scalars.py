@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (FieldError, PolyRing, Scalar, cyclotomic_field,
-                    rationals, roots_of_unity)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import (FieldError, Scalar, cyclotomic_field, rationals,
+                            roots_of_unity)
 
 
 def test_field_of_order_one_is_rationals():

@@ -2,12 +2,13 @@
 
 import pytest
 
-from mfcert import ODD, ParityMap, PolyRing, SuperModule, cyclotomic_field, rationals
-from mfcert.generators import (gen_cone_lift, gen_lambda_family,
-                               gen_ramond_data, gen_remark_family,
-                               gen_tau_data, gen_twist_family)
-from mfcert.serialize import (MAX_R, FileFormatError, _Reader, map_lines,
-                              parse_map, parse_instance, write_instance)
+from mfcert.generators import (gen_cone_lift, gen_lambda_family, gen_ramond_data,
+                               gen_remark_family, gen_tau_data, gen_twist_family)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import cyclotomic_field, rationals
+from mfcert.serialize import (MAX_R, FileFormatError, map_lines, parse_instance,
+                              parse_map, write_instance, _Reader)
+from mfcert.supermod import ODD, ParityMap, SuperModule
 
 RING = PolyRing(rationals(), ("x", "y"))
 
@@ -86,7 +87,7 @@ def test_comments_and_blanks_ignored():
 
 
 def test_truncated_files_raise_format_errors():
-    from mfcert import TwistFamily, lemma2_build
+    from mfcert.constructions import TwistFamily, lemma2_build
     from mfcert.serialize import parse_bundle, write_bundle
     inst = gen_twist_family(2, 1, 3)
     fam = TwistFamily(inst.module, inst.d, inst.functions)

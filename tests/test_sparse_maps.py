@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import (EVEN, ODD, CurvatureError, CurvedComplex, FieldError,
-                    Filtration, ParityMap, Poly, PolyRing, ShapeError,
-                    SuperModule, curvature_check, cyclotomic_field,
-                    filtration_verify)
-from mfcert.complexes import _IntegerBlock, graded_slice
-from mfcert.scalars import Scalar, ScalarField
-from mfcert.polynomials import _SLOT_BITS
-from mfcert.supermod import assemble, direct_sum_modules, residual
+from mfcert.complexes import (CurvatureError, CurvedComplex, Filtration,
+                              curvature_check, filtration_verify, graded_slice,
+                              _IntegerBlock)
+from mfcert.polynomials import Poly, PolyRing, _SLOT_BITS
+from mfcert.scalars import FieldError, Scalar, ScalarField, cyclotomic_field
+from mfcert.supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, assemble,
+                             direct_sum_modules, residual)
 from reference import (dense_add, dense_compose, dense_neg, dense_scale,
                        dense_shift, dense_transpose, first_nonzero, ref,
                        ref_found, refs)

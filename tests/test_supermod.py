@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from mfcert import (EVEN, ODD, ParityMap, PolyRing, ShapeError, SuperModule,
-                    parity_unit, rationals, tensor)
+from mfcert.polynomials import PolyRing
+from mfcert.scalars import rationals
+from mfcert.supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, parity_unit,
+                             tensor)
 
 RING = PolyRing(rationals(), ("x", "y"))
 
