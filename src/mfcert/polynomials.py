@@ -18,7 +18,10 @@ The printer groups the keys by monomial and writes the monomials in graded
 lexicographic order of the declared variables, so string output is
 canonical and ``ring.parse(str(p)) == p`` exactly.  A polynomial keeps its printed text in
 one private slot, so ``str`` prints each object at most once: a digest and
-the bundle writer share that one print.
+the bundle writer share that one print.  The ring keeps a print memo from
+each printed value, its denominator and the frozenset of its numerators, to
+its text, so equal polynomials reached by a parse, a product or a sum are
+printed once per ring; like the term memo, it holds no ``Poly``.
 
 ``PolyRing.parse`` reads in two steps.  The term reader (``_read_printed``)
 accepts exactly what ``Poly.__str__`` prints: signed terms joined by `` + ``
@@ -162,7 +165,8 @@ def normalised(ring: "PolyRing", den: int, nums: dict[int, int]) -> "Poly":
 class PolyRing:
     """A polynomial ring: scalar field + ordered variable names."""
 
-    __slots__ = ("field", "variables", "_index", "_high", "_folds", "_terms", "_monos")
+    __slots__ = ("field", "variables", "key_bits", "_index", "_high", "_folds", "_terms",
+                 "_monos", "_prints")
 
     def __init__(self, field: ScalarField, variables: tuple[str, ...] | list[str]):
         variables = tuple(variables)
@@ -176,14 +180,18 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
+        # the width of a packed key: every product of two factors stays below 2^key_bits
+        self.key_bits = _SLOT_BITS * (len(variables) + 1)
         # the top bit of every variable slot: a factor must hold none of them
         self._high = sum(_SLOT_HALF << (_SLOT_BITS * (i + 1)) for i in range(len(variables)))
         self._folds = None
         # term reader memo: signed term text -> (den, nums or None when the
         # term is 0, grade key, whether the text is what the printer writes)
         self._terms: dict[str, tuple] = {}
-        # printer memo: key >> _SLOT_BITS -> (grade key, monomial text)
+        # printer memos: key >> _SLOT_BITS -> (grade key, monomial text), and
+        # (den, frozenset of nums items) -> the printed text of that polynomial
         self._monos: dict[int, tuple] = {}
+        self._prints: dict[tuple, str] = {}
 
     @property
     def nvars(self) -> int:
@@ -478,7 +486,12 @@ class Poly:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            text = self._text = self._print()
+            prints = self.ring._prints
+            key = (self.den, frozenset(self.nums.items()))
+            text = prints.get(key)
+            if text is None:
+                text = prints[key] = self._print()
+            self._text = text
         return text
 
     def _print(self) -> str:

@@ -2,7 +2,10 @@
 
 All formats are line-based: blank lines and '#' comments are skipped, each
 record starts with a keyword, and nested records use begin/end fences.
-Polynomial entries round-trip exactly through the canonical printer.
+Polynomial entries round-trip exactly through the canonical printer.  A
+reader parses each distinct cell text of a file once and skips the zero
+cells ``0`` before any tokenising, so the equal entries of a file share one
+immutable ``Poly``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class _Reader:
                 self.rows.append((i, line))
         self.pos = 0
         self.last_line = 1
+        self.cells: dict[str, Poly] = {}   # cell text -> entry, see _learn_cells
 
     def eof(self) -> bool:
         return self.pos >= len(self.rows)
@@ -146,24 +150,39 @@ def field_spec(field: ScalarField) -> str:
     return f"cyclotomic {field.order}"
 
 
-def _parse_polys(ring: PolyRing, text: str, line_no: int) -> list[Poly]:
-    text = text.strip()
-    if not text:
-        return []
-    zero = ring.zero
-    out = []
-    for chunk in text.split(","):
-        if chunk.strip() == "0":   # most matrix entries; no need to tokenize
-            out.append(zero)
+def _cells(text: str) -> list[str]:
+    """The comma-separated cell texts of ``text``, as split; none when it is blank."""
+    return text.split(",") if text and not text.isspace() else []
+
+
+def _learn_cells(reader: _Reader, ring: PolyRing, cells: list[str],
+                 line_no: int) -> dict[str, Poly]:
+    """The reader's memo from cell text to polynomial, holding each of ``cells``.
+
+    Each distinct text is parsed once per file (a file has one ring), a zero
+    cell without tokenising; the first malformed cell raises.
+    """
+    memo = reader.cells
+    for cell in cells:
+        if cell in memo:
+            continue
+        if cell == " 0" or cell == "0":
+            memo[cell] = ring.zero
             continue
         try:
-            out.append(ring.parse(chunk))
+            memo[cell] = ring.parse(cell)
         except ParseError as exc:
-            entry = chunk.strip()
+            entry = cell.strip()
             if len(entry) > 20:
                 entry = f"{entry[:20]}..."
             raise FileFormatError(f"bad polynomial {entry!r}: {exc}", line_no) from None
-    return out
+    return memo
+
+
+def _parse_polys(reader: _Reader, ring: PolyRing, text: str, line_no: int) -> list[Poly]:
+    cells = _cells(text)
+    memo = _learn_cells(reader, ring, cells, line_no)
+    return [memo[cell] for cell in cells]
 
 
 def _parse_labels(reader: _Reader, ring: PolyRing) -> SuperModule:
@@ -242,11 +261,15 @@ def parse_map(reader: _Reader, source: SuperModule, target: SuperModule) -> tupl
             line_no, line = reader.next()
             if not line.startswith("row"):
                 raise FileFormatError(f"expected a row line, found {line!r}", line_no)
-            values = _parse_polys(ring, line[3:], line_no)
-            if len(values) != len(cols):
+            cells = _cells(line[3:])
+            if len(cells) != len(cols):
+                _learn_cells(reader, ring, cells, line_no)   # a malformed cell comes first
                 raise FileFormatError(
-                    f"row has {len(values)} entries, expected {len(cols)}", line_no)
-            rows[i] = tuple((j, p) for j, p in zip(cols, values) if p.nums)
+                    f"row has {len(cells)} entries, expected {len(cols)}", line_no)
+            # most cells are the printer's zero, skipped before any lookup
+            nonzero = [(j, cell) for j, cell in zip(cols, cells) if cell != " 0"]
+            memo = _learn_cells(reader, ring, [cell for _, cell in nonzero], line_no)
+            rows[i] = tuple([(j, memo[cell]) for j, cell in nonzero if memo[cell].nums])
     # the block tags admit only entries of this parity, parsed in this ring
     return name, ParityMap._from_rows(source, target, parity, rows)
 
@@ -373,7 +396,7 @@ def _parse_tensor(reader: _Reader, ring: PolyRing, coords: tuple[str, ...], unit
             raise FileFormatError(
                 f"tensor key {exps} must have {slots} slots summing to {degree}",
                 line_no)
-        vec = _parse_polys(ring, tail, line_no)
+        vec = _parse_polys(reader, ring, tail, line_no)
         if len(vec) != width:
             raise FileFormatError(f"tensor value needs {width} entries", line_no)
         check_datum_entries(vec, coords, unit)
@@ -392,7 +415,7 @@ def _parse_matrix(reader: _Reader, ring: PolyRing, n_rows: int, coords: tuple[st
         line_no, line = reader.next()
         if not line.startswith("row"):
             raise FileFormatError(f"expected a row line, found {line!r}", line_no)
-        values = _parse_polys(ring, line[3:], line_no)
+        values = _parse_polys(reader, ring, line[3:], line_no)
         if len(values) != n_cols:
             raise FileFormatError(
                 f"row has {len(values)} entries, expected {n_cols}", line_no)
@@ -418,7 +441,7 @@ def _parse_instance(reader: _Reader):
     if line != MAGIC_INSTANCE:
         raise FileFormatError(f"not an instance file (missing {MAGIC_INSTANCE!r})",
                               line_no)
-    _, parts = reader.expect("kind")
+    kind_line, parts = reader.expect("kind")
     kind = parts[0] if parts else ""
     line_no, parts = reader.expect("field")
     fld = _parse_field(parts, line_no)
@@ -440,11 +463,11 @@ def _parse_instance(reader: _Reader):
         line_no, line = reader.next()
         if not line.startswith("target"):
             raise FileFormatError("expected a 'target' line", line_no)
-        target = _parse_polys(ring, line[len("target"):], line_no)[0]
+        target = _parse_polys(reader, ring, line[len("target"):], line_no)[0]
         line_no, line = reader.next()
         if not line.startswith("roots"):
             raise FileFormatError("expected a 'roots' line", line_no)
-        roots = tuple(_parse_polys(ring, line[len("roots"):], line_no))
+        roots = tuple(_parse_polys(reader, ring, line[len("roots"):], line_no))
         module = _parse_labels(reader, ring)
         _, d = parse_map(reader, module, module)
         return RemarkInstance(module, d, target, roots)
@@ -453,7 +476,7 @@ def _parse_instance(reader: _Reader):
         line_no, line = reader.next()
         if not line.startswith("functions"):
             raise FileFormatError("expected a 'functions' line", line_no)
-        functions = tuple(_parse_polys(ring, line[len("functions"):], line_no))
+        functions = tuple(_parse_polys(reader, ring, line[len("functions"):], line_no))
         if len(functions) != r:
             raise FileFormatError(f"expected {r} functions", line_no)
         module = _parse_labels(reader, ring)
@@ -477,7 +500,7 @@ def _parse_instance(reader: _Reader):
             line_no, line = reader.next()
             if not line.startswith(tag):
                 raise FileFormatError(f"expected an '{tag}' line", line_no)
-            forms.append(tuple(_parse_polys(ring, line[2:], line_no)))
+            forms.append(tuple(_parse_polys(reader, ring, line[2:], line_no)))
             check_datum_entries(forms[-1], coords, unit)
         e1, e2 = forms
         return RamondData(ring, r, coords, c1_rank, dmat, nu, e1, e2)
@@ -494,7 +517,7 @@ def _parse_instance(reader: _Reader):
             maps[tag] = m
         return ConeLiftInstance(complexes["A"], complexes["B"], complexes["C"],
                                 maps["g"], maps["f"], maps["h"])
-    raise FileFormatError(f"unknown instance kind {kind!r}", line_no)
+    raise FileFormatError(f"unknown instance kind {kind!r}", kind_line)
 
 
 def _parse_complex_body(reader: _Reader, ring: PolyRing) -> CurvedComplex:
@@ -502,7 +525,7 @@ def _parse_complex_body(reader: _Reader, ring: PolyRing) -> CurvedComplex:
     line_no, line = reader.next()
     if not line.startswith("curvature"):
         raise FileFormatError("expected a 'curvature' line", line_no)
-    curvature = _parse_polys(ring, line[len("curvature"):], line_no)[0]
+    curvature = _parse_polys(reader, ring, line[len("curvature"):], line_no)[0]
     _, d = parse_map(reader, module, module)
     reader.expect("end")
     return CurvedComplex(module, d, curvature)
@@ -589,7 +612,7 @@ def _parse_bundle(reader: _Reader) -> Certificate:
     line_no, line = reader.next()
     if not line.startswith("zgens"):
         raise FileFormatError("expected a 'zgens' line", line_no)
-    z = SupportLocus(tuple(_parse_polys(ring, line[len("zgens"):], line_no)))
+    z = SupportLocus(tuple(_parse_polys(reader, ring, line[len("zgens"):], line_no)))
 
     table: dict[str, CurvedComplex] = {}
     cert_names: dict[str, str] = {}

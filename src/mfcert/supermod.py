@@ -13,22 +13,24 @@ Composition runs on the integer form every ``Poly`` already has (one
 denominator over packed keys with int numerators, see ``polynomials``),
 brought to one map-wide denominator D, the lcm of the entries'
 denominators: an entry whose denominator is D is used as stored, any other
-is scaled once, and the result is cached.  A monomial product is one
-integer add of two keys, so Q and Q(zeta_r) share one kernel.  Zeta powers
-of deg(Phi_r) and up are folded back by Phi_r at the end of each output
-row, and each output entry is built once, over the denominator
-D_left * D_right.
+is scaled once, and the result is cached in flat form: each row one list of
+terms whose key carries the column above the key's own bits.  A monomial
+product is one integer add of two keys, so Q and Q(zeta_r) share one
+kernel, and an output row is one accumulator dict (Gustavson's row-wise
+product): one store per term product, one fold by Phi_r per row, and each
+output entry built once, over the denominator D_left * D_right.
 
 Identity checks build no product: :func:`residual` accumulates a signed sum
-of products and maps minus c * id row by row on the same integer forms, with
-the row accumulator ``compose`` uses, over the lcm of the terms'
-denominators.  It stops at the first nonzero entry and builds
-only that one as a polynomial; c * id is a diagonal term, never a map.
+of products and maps minus c * id row by row in the same flat accumulator,
+over the lcm of the terms' denominators.  It tests each folded row at once
+and builds only the first nonzero entry as a polynomial; c * id is a
+diagonal term, never a map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from operator import itemgetter
 
@@ -121,39 +123,28 @@ def _sorted_row(row: dict[int, Poly]) -> Row:
     return tuple(sorted(row.items(), key=_column))
 
 
-# -- the row accumulator shared by compose and residual --
+# -- the flat row accumulator shared by compose and residual --
 #
-# One output row is a dict column -> bucket, and a bucket a dict key -> int:
-# the numerators of one entry over a common denominator, zeta powers up to
-# 2 deg - 2 until the bucket is folded.
+# A flat key is ``key + (j << S)``, j the column and S = ``ring.key_bits``.
+# ``check_room`` keeps every key sum of a product below 2^S, and ``fold`` only
+# moves terms within the zeta slot, so no term reaches another column: one
+# output row is one dict from flat key to int numerator, zeta powers up to
+# 2 deg - 2 until the row is folded.
 
-def _add_products(acc: dict, row, right, scale: int):
-    """acc += scale * (row * right): one row of a left integer form times the right one."""
-    for k, a_terms in row:
-        targets = right[k]
+def _add_row_product(acc: dict, row, flat, scale: int, shift: int):
+    """acc += scale * (row * right): ``row`` is a flat row of the left factor,
+    ``flat`` the flat form of the right one and ``shift`` the key width S."""
+    get = acc.get
+    mask = (1 << shift) - 1
+    for fa, ca in row:
+        targets = flat[fa >> shift]
         if not targets:
             continue
-        if scale != 1:
-            a_terms = [(ka, ca * scale) for ka, ca in a_terms]
-        for j, b_terms in targets:
-            bucket = acc.get(j)
-            if bucket is None:
-                bucket = acc[j] = {}
-            get = bucket.get
-            for ka, ca in a_terms:
-                for kb, cb in b_terms:
-                    key = ka + kb
-                    bucket[key] = get(key, 0) + ca * cb
-
-
-def _add_terms(acc: dict, j: int, terms, scale: int):
-    """acc[j] += scale * terms, for ``(key, n)`` terms of one entry."""
-    bucket = acc.get(j)
-    if bucket is None:
-        bucket = acc[j] = {}
-    get = bucket.get
-    for key, n in terms:
-        bucket[key] = get(key, 0) + n * scale
+        ka = fa & mask
+        ca *= scale
+        for kb, cb in targets:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
 
 
 def _add_rows(r1: Row, r2: Row) -> Row:
@@ -300,10 +291,10 @@ class ParityMap:
 
         Row k of ``other`` is visited only for a nonzero entry (i, k) of
         ``self``, so the work is the number of nonzero pairs, not the number
-        of dense slots.  Each term product is one int multiply and one key
-        add on the integer forms of the two maps; zeta powers of deg and up
-        are folded back by Phi_r at the end of each row, and every output
-        entry is built once, over the denominator D_self * D_other.
+        of dense slots.  Each term product is one int multiply, one key add
+        and one store in the flat accumulator of the output row; the row is
+        folded by Phi_r once, then split by column, and every output entry is
+        built once, over the denominator D_self * D_other.
         """
         if other.target != self.source:
             raise ShapeError(f"cannot compose: {other.target!r} != {self.source!r}")
@@ -312,43 +303,47 @@ class ParityMap:
         den_right, right = other._integer_form()
         folds = ring.folds
         den = den_left * den_right
+        shift = ring.key_bits
+        mask = (1 << shift) - 1
         out = []
         for row in left:
-            acc: dict[int, dict[int, int]] = {}
-            _add_products(acc, row, right, 1)
-            entries = []
-            for j in sorted(acc):
-                bucket = acc[j]
-                if folds:
-                    fold(bucket, folds)
-                p = normalised(ring, den, bucket)
-                if p.nums:
-                    entries.append((j, p))
-            out.append(tuple(entries))
+            acc: dict[int, int] = {}
+            _add_row_product(acc, row, right, 1, shift)
+            if folds:
+                fold(acc, folds)
+            cols: dict[int, dict[int, int]] = {}
+            for key, n in acc.items():
+                if n:
+                    cols.setdefault(key >> shift, {})[key & mask] = n
+            out.append(tuple((j, normalised(ring, den, cols[j])) for j in sorted(cols)))
         return ParityMap._from_rows(other.source, self.target,
                                     (self.parity + other.parity) % 2, out)
 
     def _integer_form(self):
-        """``(D, rows)``: the map over the integers, built once and cached.
+        """``(D, rows)``: the map over the integers in flat form, built once
+        and cached.
 
-        D is the lcm of the entries' denominators.  ``rows[i]`` holds the
-        nonzero ``(column, terms)`` pairs of row i, where ``terms`` are the
-        ``(key, n)`` pairs of D * entry: the entry's own ``nums`` when its
-        denominator is D.  Raises OverflowError when an exponent has no room
-        for a product (see ``polynomials.check_room``).
+        D is the lcm of the entries' denominators.  ``rows[i]`` lists the
+        terms of D * entry over the nonzero entries of row i as flat terms
+        ``(key + (column << ring.key_bits), n)``; an entry whose denominator
+        is D is used unscaled.  Raises OverflowError when an exponent has no
+        room for a product (see ``polynomials.check_room``).
         """
         if self._ints is None:
-            den = lcm(*(p.den for row in self.rows for _, p in row))
-            rows = []
-            for row in self.rows:
-                out = []
-                for j, p in row:
-                    check_room(p.nums, self.source.ring)
-                    scale = den // p.den
-                    out.append((j, p.nums.items() if scale == 1 else
-                                [(k, n * scale) for k, n in p.nums.items()]))
-                rows.append(tuple(out))
-            self._ints = (den, tuple(rows))
+            ring = self.source.ring
+            shift = ring.key_bits
+            dens = {p.den for row in self.rows for _, p in row}
+            den = lcm(*dens)
+            if len(dens) == 1:   # every entry is already over D
+                rows = [[(k + col, n) for j, p in row for col in (j << shift,)
+                         for k, n in p.nums.items()] for row in self.rows]
+            else:
+                rows = [[(k + col, n * scale) for j, p in row
+                         for col, scale in ((j << shift, den // p.den),)
+                         for k, n in p.nums.items()] for row in self.rows]
+            # the column bits of a flat key lie above the slots check_room reads
+            check_room(map(_column, chain.from_iterable(rows)), ring)
+            self._ints = (den, rows)
         return self._ints
 
     def __add__(self, other: "ParityMap") -> "ParityMap":
@@ -408,12 +403,13 @@ def residual(products=(), maps=(), diagonal=None):
     ``products`` holds ``(s, A, B)`` with s = +1 or -1 for the term s * A * B,
     ``maps`` holds ``(s, M)`` for s * M, and ``diagonal`` is ``(module, c)``
     for the term -c * id on ``module``, with c a polynomial; no identity map
-    is built.  The sum is accumulated row by row on the cached integer forms
-    of the operands, over the lcm of the terms' denominators, with the row
-    accumulator that :meth:`ParityMap.compose` uses; zeta powers are folded
-    by Phi_r and only the entry returned is built as a polynomial.  The
-    result is ``((i, j), Poly)`` for the first nonzero entry in row-major,
-    column-ascending order.
+    is built.  Each row of the sum is one flat accumulator, filled from the
+    cached flat integer forms of the operands over the lcm of the terms'
+    denominators, as :meth:`ParityMap.compose` fills it; the row is folded by
+    Phi_r once, c is subtracted at column i, and the row is tested at once.
+    Only a row that is not zero is split, and only its first nonzero entry
+    is built as a polynomial.  The result is ``((i, j), Poly)`` for the
+    first nonzero entry in row-major, column-ascending order.
 
     A product whose factors do not compose raises ShapeError, as compose
     does.  When the terms, or the terms and ``module -> module``, differ in
@@ -460,6 +456,7 @@ def _residual(products, maps, diagonal):
     for _, (dm, _) in adds:
         den = lcm(den, dm)
     folds = ring.folds
+    shift = ring.key_bits
     diag = [(key, n * (den // dc)) for key, n in diag.items()]
     prods = [(a_rows, b_rows, s * (den // (da * db)))
              for s, (da, a_rows), (db, b_rows) in prods]
@@ -467,26 +464,28 @@ def _residual(products, maps, diagonal):
     if learn:
         c = ring.zero
     for i in range(target.total_rank):
-        acc: dict[int, dict[int, int]] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         for left, right, scale in prods:
-            _add_products(acc, left[i], right, scale)
+            _add_row_product(acc, left[i], right, scale, shift)
         for rows, scale in adds:
-            for j, terms in rows[i]:
-                _add_terms(acc, j, terms, scale)
+            for key, n in rows[i]:
+                acc[key] = get(key, 0) + n * scale
+        if folds:
+            fold(acc, folds)
         if diagonal is not None:
             if learn and i == 0:
-                bucket = acc.get(0, {})
-                if folds:
-                    fold(bucket, folds)
-                diag = [(key, n) for key, n in bucket.items() if n]
-                c = normalised(ring, den, bucket)
-            _add_terms(acc, i, diag, -1)
-        for j in sorted(acc):
-            bucket = acc[j]
-            if folds:
-                fold(bucket, folds)
-            if any(bucket.values()):
-                return c, ((i, j), normalised(ring, den, bucket))
+                diag = [(key, n) for key, n in acc.items() if n and not key >> shift]
+                c = normalised(ring, den, dict(diag))
+            col = i << shift
+            for key, n in diag:
+                key += col
+                acc[key] = get(key, 0) - n
+        if any(acc.values()):
+            j = min(key >> shift for key, n in acc.items() if n)
+            col = j << shift
+            return c, ((i, j), normalised(ring, den, {key - col: n for key, n in acc.items()
+                                                      if n and key >> shift == j}))
     return c, None
 
 

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from mfcert.cli import main
 from mfcert.complexes import CurvedComplex
+from mfcert.constructions import TwistFamily, lemma2_build
+from mfcert.generators import gen_twist_family
 from mfcert.polynomials import Poly, PolyRing
 from mfcert.scalars import Scalar, cyclotomic_field
 from mfcert.serialize import parse_bundle
@@ -245,3 +247,52 @@ def test_lemma2_build_prints_each_polynomial_at_most_once(printed, tmp_path, mon
     assert _quiet(["lemma2", "inst.txt", "--out", "bundle.txt"])[0] == 0
     assert printed                                    # the build path prints
     assert len({id(p) for p in printed}) == len(printed)   # `printed` keeps them alive
+
+
+# ---------------------------------------------------------------------------
+# the print memo: one print per distinct polynomial of a ring
+# ---------------------------------------------------------------------------
+
+def test_one_polynomial_prints_one_text_however_it_was_reached():
+    ring = PolyRing(cyclotomic_field(3), VARS)
+    product = ring.parse("x + 1/2*zeta") * ring.parse("x - 1/2*zeta")
+    total = ring.parse("x^2") + ring.parse("-1/4*zeta^2")
+    read = ring.parse("-1/4*zeta^2 + x^2")       # reordered, so it keeps no text
+    assert product == total == read
+    assert read._text is None
+    text = str(product)
+    assert text == product._print() == "x^2 + (1/4 + 1/4*zeta)"
+    assert str(total) is text and str(read) is text   # the memo's one text
+
+
+def test_the_print_memo_keeps_no_polynomial():
+    ring = PolyRing(cyclotomic_field(4), VARS)
+    for text in ("x + 1", "1/3*zeta*x*y - 2", "(1/2 + zeta)*lambda^2", "0"):
+        str(ring.parse(f"{text} + 0"))             # a non-canonical text: printed
+    assert len(ring._prints) == 4
+    for (den, nums), text in ring._prints.items():
+        assert type(text) is str and type(den) is int
+        assert type(nums) is frozenset
+        assert all(type(key) is int and type(n) is int for key, n in nums)
+
+
+def test_a_lemma2_total_digest_does_not_depend_on_the_memo(printed):
+    inst = gen_twist_family(3, 2, 5, cyclotomic_field(3))
+    total = lemma2_build(TwistFamily(inst.module, inst.d, inst.functions)).w
+    ring = total.module.ring
+    assert ring._prints                             # the build printed through the memo
+    digest = total.digest()
+    fresh_ring = PolyRing(ring.field, ring.variables)
+    assert not fresh_ring._prints
+
+    def copy(p: Poly) -> Poly:
+        return Poly(fresh_ring, p.den, dict(p.nums))
+
+    module = SuperModule(fresh_ring, total.module.even_labels, total.module.odd_labels)
+    rows = [tuple((j, copy(p)) for j, p in row) for row in total.d.rows]
+    fresh = CurvedComplex(module, ParityMap._from_rows(module, module, ODD, rows),
+                          copy(total.curvature))
+    printed.clear()
+    assert fresh.digest() == digest
+    values = [(p.den, frozenset(p.nums.items())) for p in printed]
+    assert printed and len(set(values)) == len(values)   # each distinct entry printed once

@@ -74,9 +74,53 @@ def test_row_width_checked():
 
 
 def test_unknown_kind():
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=r"^line 2: unknown instance kind 'mystery'$"):
         parse_instance("mfcert instance v1\nkind mystery\nfield rationals\n"
                        "variables x\n")
+
+
+# An odd map on a (3|3) module whose zero cells take every spelling the reader
+# reads as zero, and whose nonzero cells repeat across rows and columns.
+ZERO_SPELLINGS = """begin map d
+parity odd
+block odd<-even
+row 0, x - y,  0
+row x - y, 0/7, 2*x
+row -0, 2*x, x - y
+block even<-odd
+row (0), 0*x, y^2
+row y^2, 0, 2*x
+row 0, 0, 0
+end map"""
+
+
+def test_zero_spellings_and_repeated_cells_read_as_their_canonical_print():
+    v = SuperModule.free(RING, 3, 3)
+    _, m = parse_map(_Reader(ZERO_SPELLINGS), v, v)
+    z, d, t, s = RING.zero, RING.parse("x - y"), RING.parse("2*x"), RING.parse("y^2")
+    dense = [[z, z, z, z, z, s], [z, z, z, s, z, t], [z] * 6,
+             [z, d, z, z, z, z], [d, z, t, z, z, z], [z, t, d, z, z, z]]
+    assert m == ParityMap(v, v, ODD, dense)
+    _, back = parse_map(_Reader("\n".join(map_lines("d", m))), v, v)
+    assert back.rows == m.rows
+
+
+def test_a_repeated_cell_is_one_shared_entry():
+    v = SuperModule.free(RING, 3, 3)
+    _, m = parse_map(_Reader(ZERO_SPELLINGS), v, v)
+    # the same text in any column but the first, where the row prints no space before it
+    spaced = [p for _, _, p in m.nonzero() if p == RING.parse("2*x")]
+    assert len(spaced) == 3 and all(p is spaced[0] for p in spaced)
+
+
+def test_a_repeated_malformed_cell_fails_at_its_first_line():
+    v = SuperModule.free(RING, 3, 3)
+    text = ZERO_SPELLINGS.replace("2*x", "2*x +")
+    with pytest.raises(FileFormatError, match=r"^line 5: bad polynomial '2\*x \+'"):
+        parse_map(_Reader(text), v, v)
+    text = ZERO_SPELLINGS.replace("y^2", "y^^2")
+    with pytest.raises(FileFormatError, match=r"^line 8: bad polynomial 'y\^\^2'"):
+        parse_map(_Reader(text), v, v)
 
 
 def test_comments_and_blanks_ignored():

@@ -13,7 +13,7 @@ from mfcert.complexes import (CurvatureError, CurvedComplex, Filtration,
 from mfcert.polynomials import Poly, PolyRing, _SLOT_BITS
 from mfcert.scalars import FieldError, Scalar, ScalarField, cyclotomic_field
 from mfcert.supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, assemble,
-                             direct_sum_modules, residual)
+                             direct_sum_modules, residual, scalar_square)
 from reference import (dense_add, dense_compose, dense_neg, dense_scale,
                        dense_shift, dense_transpose, first_nonzero, ref,
                        ref_found, refs)
@@ -236,6 +236,37 @@ def test_exponent_at_the_slot_limit_raises():
     for left, right in ((at, below), (below, at), (square, below)):
         with pytest.raises(OverflowError, match="slot"):
             left.compose(right)
+        with pytest.raises(OverflowError, match="slot"):
+            residual(products=((1, left, right),))
+    for m in (at, square):
+        with pytest.raises(OverflowError, match="slot"):
+            scalar_square(m)
+
+
+def test_the_largest_key_sum_stays_in_its_column():
+    """A product whose every slot reaches 2 (2^15 - 1) and whose zeta power
+    reaches 2 deg - 2 lands in its own column, not in the next one."""
+    ring = RINGS[8]
+    field = ring.field
+    top = (1 << (_SLOT_BITS - 1)) - 1
+    big = ring.monomial((top, top, top), field.zeta ** (field.degree - 1))
+    u, v = SuperModule.free(ring, 1, 0), SuperModule.free(ring, 3, 0)
+    left = [[big]]
+    right = [[ring.var("y"), big, ring.parse("x + 1")]]     # column 1 next to column 2
+    a, b = ParityMap(u, u, EVEN, left), ParityMap(v, u, EVEN, right)
+    dense = dense_compose(refs(left), refs(right), 3, field.modulus)
+    assert _as_lists(a.compose(b)) == dense
+    assert a.compose(b).entries[0][1] == big * big
+    z = ring.zero
+    reported = []
+    for kept in ([[z, z, z]], [[right[0][0], z, z]], [[right[0][0], big, z]], right):
+        c = ParityMap(v, u, EVEN, kept)    # a * c cancels the columns of a * b it keeps
+        expected = first_nonzero(dense_add(
+            dense, dense_neg(dense_compose(refs(left), refs(kept), 3, field.modulus))))
+        found = residual(((1, a, b), (-1, a, c)))
+        assert ref_found(found) == expected
+        reported.append(found and found[0])
+    assert reported == [(0, 0), (0, 1), (0, 2), None]
 
 
 def test_compose_on_a_cached_map_repeats():
