@@ -3,6 +3,11 @@
 Exit codes: 0 all checks pass, 1 a verdict or invariant failed, 2 usage or
 parse errors.  Reports are deterministic for a fixed command line and seed;
 ``--json-report`` writes a structured mirror of the textual report.
+
+The commands live in one table, ``COMMANDS``.  A call that names a command
+builds only that command's parser.  ``--help``, a missing or unknown
+command, and arguments the command leaves over go through the whole tree
+(``build_parser``), so help and usage errors read the same either way.
 """
 
 from __future__ import annotations
@@ -321,59 +326,97 @@ def cmd_exactness(args) -> int:
     return _emit(report, args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mfcert",
-        description="exact certificates for graded factorization identities")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# arguments
+# ---------------------------------------------------------------------------
 
-    def common(p, bundle_out=True):
-        p.add_argument("input")
-        p.add_argument("--json-report", help="write a JSON mirror of the report")
-        p.add_argument("--zgens", help="comma-separated locus generators")
-        if bundle_out:
-            p.add_argument("--out", help="write the certificate bundle here")
-
-    p = sub.add_parser("gen", help="generate a seeded instance file")
+def _add_gen(p):
     p.add_argument("--kind", required=True)
     p.add_argument("--r", type=_r_value, default=2)
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--field", type=_parse_field_flag, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check-mf", help="verify the square of a map is scalar")
-    common(p, bundle_out=False)
-    p.set_defaults(func=cmd_check_mf)
 
-    for name, func in (("lemma1", cmd_lemma1), ("lemma2", cmd_lemma2),
-                       ("remark", cmd_remark), ("slambda", cmd_slambda),
-                       ("sxi", cmd_sxi)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=func)
+def _add_input(p):
+    p.add_argument("input")
+    p.add_argument("--json-report", help="write a JSON mirror of the report")
+    p.add_argument("--zgens", help="comma-separated locus generators")
 
-    p = sub.add_parser("conelift", help="lift a map through a mapping cone")
-    common(p, bundle_out=False)
-    p.set_defaults(func=cmd_conelift)
 
-    p = sub.add_parser("verify", help="replay a certificate bundle")
+def _add_input_and_out(p):
+    _add_input(p)
+    p.add_argument("--out", help="write the certificate bundle here")
+
+
+def _add_verify(p):
     p.add_argument("input")
     p.add_argument("--json-report")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("exactness", help="sample fiberwise exactness off a locus")
-    common(p, bundle_out=False)
+
+def _add_exactness(p):
+    _add_input(p)
     p.add_argument("--trials", type=_trial_count, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_exactness)
+
+
+# name -> (help in the command list, or None to list none; the function that
+# adds the command's arguments; the command), in the order --help lists them
+COMMANDS = {
+    "gen": ("generate a seeded instance file", _add_gen, cmd_gen),
+    "check-mf": ("verify the square of a map is scalar", _add_input, cmd_check_mf),
+    "lemma1": (None, _add_input_and_out, cmd_lemma1),
+    "lemma2": (None, _add_input_and_out, cmd_lemma2),
+    "remark": (None, _add_input_and_out, cmd_remark),
+    "slambda": (None, _add_input_and_out, cmd_slambda),
+    "sxi": (None, _add_input_and_out, cmd_sxi),
+    "conelift": ("lift a map through a mapping cone", _add_input, cmd_conelift),
+    "verify": ("replay a certificate bundle", _add_verify, cmd_verify),
+    "exactness": ("sample fiberwise exactness off a locus", _add_exactness, cmd_exactness),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, func = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="mfcert",
+        description="exact certificates for graded factorization identities")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, **({} if help_ is None else {"help": help_})), name)
+    return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, building one parser.
+
+    A command's parser alone is built under the prog the tree gives it, so
+    its help and its own errors read as the tree's.  Anything else goes to
+    the whole tree: no command or an unknown one, ``--help``, and arguments
+    the command leaves over, which the tree reports under its usage.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _fill(argparse.ArgumentParser(prog=f"mfcert {name}"), name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (FileFormatError, ParseError) as exc:

@@ -101,12 +101,18 @@ class CurvedComplex:
             "odd " + " ".join(self.module.odd_labels),
             "curvature " + str(self.curvature),
         ]
+        # each row is its cells joined by "; ", written as the runs of zeros
+        # between its nonzero entries; every row ends in "; ", cut off below
         width = self.module.total_rank
         for row in self.d.rows:
-            cells = ["0"] * width
+            parts, col = [], 0
             for j, p in row:
-                cells[j] = str(p)
-            lines.append("; ".join(cells))
+                parts.append("0; " * (j - col))
+                parts.append(str(p))
+                parts.append("; ")
+                col = j + 1
+            parts.append("0; " * (width - col))
+            lines.append("".join(parts)[:-2])
         return "\n".join(lines)
 
     def digest(self) -> str:

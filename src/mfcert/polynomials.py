@@ -606,6 +606,14 @@ MAX_TERM_PRODUCTS = 1000
 # factor with coefficient 1 costs nothing.
 MAX_COEFF_BITS = 100
 
+# The deepest nesting the parser descends: open parentheses plus unary minus
+# signs, counted with the term they lead to.  The parser recurses once per
+# level, so a cell nested 200 deep or led by 1,000 minus signs overflowed the
+# stack.  Over 324 generated instance files and their bundles (all six kinds,
+# Q, Q(zeta_3) and Q(zeta_4)) the deepest cell, ``(-1 - 2*zeta)*xh1``,
+# reaches 3 levels; the cap is ten times that.
+MAX_NESTING = 30
+
 
 def _coeff_bits(p: Poly) -> int:
     """Bits of the widest numerator or denominator of p's coefficients in lowest terms."""
@@ -818,6 +826,7 @@ class _Parser:
                     self.tokens.append((kind, m.group(kind), m.start(kind)))
                     break
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -859,11 +868,18 @@ class _Parser:
                 return p
 
     def unary(self) -> Poly:
-        kind, val, _ = self.peek()
+        # one level per term, and one more per open parenthesis or unary minus around it
+        kind, val, pos = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting exceeds {MAX_NESTING} levels", pos)
+        self.depth += 1
         if kind == "op" and val == "-":
             self.take()
-            return -self.unary()
-        return self.power()
+            p = -self.unary()
+        else:
+            p = self.power()
+        self.depth -= 1
+        return p
 
     def power(self) -> Poly:
         p = self.atom()

@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: exit codes, determinism, round trips."""
 
+import argparse
 import json
 import time
 
 import pytest
 
+from mfcert import cli
 from mfcert.cli import main
 
 
@@ -329,3 +331,63 @@ def test_huge_field_order_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "exceeds" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+# The one-command path against the whole tree: help, usage errors and what
+# they parse to.  Leftover arguments are the trap: the tree reports them under
+# a usage line that lists every command.
+COMMAND_ARGV = [
+    [], [""], ["bogus"], ["--help"], ["-h"], ["-h", "verify"], ["--", "verify", "x"],
+    ["verify", "x", "--bogus"], ["verify", "--bogus", "x"], ["lemma1", "x", "y"],
+    ["verify", "x", "--", "y"], ["verify", "--", "x"], ["lemma1", "--he"],
+    ["gen", "--kind", "x", "--r", "99"], ["gen", "--kind", "x", "--r", "999"],
+    ["gen", "--kind", "x", "--field", "bad"], ["exactness", "x", "--trials", "0"],
+    ["verify"], ["verify", "x", "--json-report"], ["lemma1", "x", "--help", "--bogus"],
+    *([name, "-h", "x"] for name in cli.COMMANDS),
+    ["gen", "--ki", "k", "--fi", "Q", "--se", "-3"], ["check-mf", "x", "--json", "r"],
+    ["lemma1", "x", "--z", "x,y", "--o", "b"], ["lemma2", "x", "--o", "b"],
+    ["remark", "x", "--j", "r"], ["slambda", "x", "--zg", "x"], ["sxi", "x", "--ou", "b"],
+    ["conelift", "x", "--zg", "x"], ["verify", "x", "--js", "r"],
+    ["exactness", "x", "--tr", "3", "--se", "2", "--z", "x"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """What ``parse(argv)`` returns or its exit code, and what it printed."""
+    try:
+        result, code = parse(argv), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    out, err = capsys.readouterr()
+    return result, code, out, err
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
+def test_one_command_parses_and_fails_as_the_whole_tree(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = _outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    if tree[1] is None:
+        assert _outcome(cli.parse_args, argv, capsys) == tree
+    else:
+        assert _outcome(main, argv, capsys) == tree
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    inst, bundle = tmp_path / "lam.txt", tmp_path / "bundle.txt"
+    assert run(["gen", "--kind", "lambda-family", "--size", "1", "--out", inst]) == 0
+    for argv in (["lemma1", inst, "--out", bundle], ["verify", bundle]):
+        built.clear()
+        assert run(argv) == 0
+        assert built == [f"mfcert {argv[0]}"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 1 + len(cli.COMMANDS)

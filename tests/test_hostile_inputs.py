@@ -7,7 +7,8 @@ where a generator refuses an r below its kind's minimum), a located message as
 the last line of stderr, and no traceback.  A regressed hang fails the test at
 the timeout instead of stalling the suite.  A banned datum entry exits 2 at
 its own line, naming the same variable under every string-hash seed.  A
-header line that the file's kind cannot use exits 2 at that line.
+header line that the file's kind cannot use exits 2 at that line.  A cell
+nested past the parser's depth cap exits 2 at its line.
 """
 
 import os
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import mfcert
+from mfcert.cli import main
+from mfcert.polynomials import MAX_NESTING
 
 SRC = str(Path(mfcert.__file__).resolve().parents[1])
 TIMEOUT = 10
@@ -237,3 +240,29 @@ def test_the_banned_variable_named_does_not_depend_on_the_string_hash(hash_seed,
     assert proc.stderr.splitlines()[-1] == ("error: line 9: malformed instance data: "
                                             "datum entry xh1*lambda must not involve "
                                             "the coordinate xh1")
+
+
+# both once overflowed the recursive-descent parser: a RecursionError
+# traceback and exit 1, in an instance and in a bundle alike
+DEEP_CELLS = {"parentheses": "(" * 200 + "x" + ")" * 200, "minus-signs": "-" * 1000 + "x"}
+
+
+@pytest.mark.parametrize("kind", ["instance", "bundle"])
+@pytest.mark.parametrize("cell", DEEP_CELLS.values(), ids=DEEP_CELLS.keys())
+def test_a_deeply_nested_cell_exits_2_at_its_line(kind, cell, tmp_path, capsys):
+    inst = tmp_path / "lam.txt"
+    assert main(["gen", "--kind", "lambda-family", "--r", "2", "--size", "2",
+                 "--seed", "1", "--out", str(inst)]) == 0
+    path, command = inst, "lemma1"
+    if kind == "bundle":
+        path, command = tmp_path / "bundle.txt", "verify"
+        assert main(["lemma1", str(inst), "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("row") and line != "row 0")
+    cells = lines[i][len("row "):].split(", ")
+    cells[next(k for k, c in enumerate(cells) if c != "0")] = cell
+    lines[i] = "row " + ", ".join(cells)
+    proc = _run_cli([command], "\n".join(lines) + "\n", tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(rf"^error: line {i + 1}: bad polynomial .*: nesting exceeds "
+                    rf"{MAX_NESTING} levels$", proc.stderr.splitlines()[-1]), proc.stderr

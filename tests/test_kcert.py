@@ -362,6 +362,16 @@ def test_an_iso_move_checks_parity_and_shapes():
         assert replay_one(move).describe() == f"iso-move: FAIL {message}"
 
 
+def test_an_iso_pair_with_one_odd_map_fails_the_parity_check():
+    # with an even forward map and an odd inverse (or the reverse) every
+    # later check but the identity ones would pass
+    c = flat_complex()
+    ident = ParityMap.identity(c.module)
+    for pair in (IsoPair(ident, c.d), IsoPair(c.d, ident)):
+        assert replay_one(IsoMove(c, c, pair)).describe() == \
+            "iso-move: FAIL isomorphisms must be even"
+
+
 def test_an_iso_move_between_different_curvatures_fails():
     # a claim term must be flat, so two curved complexes are replayed directly
     c = small_complex()   # curvature -x*y
@@ -399,6 +409,16 @@ def test_a_filtration_move_whose_first_step_does_not_span_fails():
             "filtration-move: FAIL first filtration step must span the module"
     assert replay_one(FiltrationMove(cx, (), (), ())).describe() == \
         "filtration-move: FAIL first filtration step must span the module"
+
+
+def test_a_filtration_move_whose_steps_are_no_filtration_fails_as_that_move():
+    # the bundle reader refuses such steps before a move exists, so only a
+    # move built in code reaches this check
+    _, fmove = _lemma1_certificate().moves[0]
+    n = fmove.complex.module.total_rank
+    steps = (fmove.steps[0], (n,), *fmove.steps[2:])
+    bad = replay_one(FiltrationMove(fmove.complex, steps, fmove.targets, fmove.isos))
+    assert bad.describe() == f"filtration-move: FAIL filtration step ({n},) out of range"
 
 
 def test_a_malformed_move_fails_a_certificate_whose_ledger_balances():

@@ -308,3 +308,35 @@ def test_cached_digest_is_sha256_of_canonical_text():
     assert cx.digest() == expected
     assert cx.digest() == expected          # second call reads the cache
     assert cx == CurvedComplex(v, d, cx.curvature)   # the cache takes no part in ==
+
+
+def _dense_canonical_text(cx):
+    """The canonical text with every row written out cell by cell."""
+    lines = ["even " + " ".join(cx.module.even_labels), "odd " + " ".join(cx.module.odd_labels),
+             f"curvature {cx.curvature}"]
+    return "\n".join(lines + ["; ".join(str(p) for p in row) for row in cx.d.entries])
+
+
+# nonzero columns per row: rank 0 and 1, then leading, trailing and adjacent
+# zeros, zeros between entries, an all-zero row and a row with no zero
+@pytest.mark.parametrize("width,supports", [
+    (0, []), (1, [[0]]), (1, [[]]),
+    (7, [[6], [0], [1, 2], [0, 6], [1, 4], [], list(range(7))]),
+])
+def test_canonical_text_rows_match_the_dense_join(width, supports):
+    # an even map of an all-even module may have any support
+    ring = RINGS[3]
+    v = SuperModule.free(ring, width, 0)
+    cells = [ring.parse("x"), ring.parse("-zeta*y + 1/2"), ring.parse("3")]
+    dense = [[cells[(i + j) % 3] if j in cols else ring.zero for j in range(width)]
+             for i, cols in enumerate(supports)]
+    cx = CurvedComplex(v, ParityMap(v, v, EVEN, dense), ring.zero)
+    assert cx.canonical_text() == _dense_canonical_text(cx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_endomorphisms())
+def test_canonical_text_matches_the_dense_join(case):
+    ring, v, dd = case
+    cx = CurvedComplex(v, ParityMap(v, v, ODD, dd), ring.zero)
+    assert cx.canonical_text() == _dense_canonical_text(cx)
