@@ -17,26 +17,31 @@
   product-family differentials.
 * :func:`cone_lift` extends a map along a mapping cone using a homotopy
   witness; :func:`cone_lift_check` reports its preconditions line by line.
+  The cone itself (:class:`ChainMap`, :func:`is_chain_map`, :func:`cone`)
+  lives here, with its one user, and so does :func:`compose_certs`, which
+  only :func:`s_xi_reduce` calls: the replay runs none of them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial, prod
 
 from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
-from .complexes import (ChainMap, Cone, CurvedComplex, Filtration,
-                        InvariantError, SupportLocus, Verdict, cone,
-                        is_chain_map, is_homotopy, slice_basis)
+from .complexes import (CurvatureError, CurvedComplex, Filtration,
+                        InvariantError, SupportLocus, Verdict, curvature_check,
+                        is_homotopy, slice_basis)
 from .kcert import (Certificate, FiltrationMove, HomotopyMove,
-                    IsoMove, IsoPair, compose_certs, verify)
+                    IsoMove, IsoPair, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
 from .serialize import check_datum_entries
-from .supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule,
-                       assemble, direct_sum_modules, parity_unit, residual)
+from .supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, ShapeError,
+                       SuperModule, assemble, direct_sum_modules, parity_unit,
+                       residual)
 
 
 def _vanishes(kind: str, diff: Poly, message: str = "") -> Verdict:
@@ -422,38 +427,27 @@ def _lemma2_total(family: TwistFamily, z: SupportLocus) -> TotalResult:
 
     w_module, embs = direct_sum_modules([vv] * r, [f"c{i}." for i in range(1, r + 1)])
 
-    def vv_block(xx=None, xxp=None, px=None, pp=None) -> ParityMap:
+    def vv_block(xxp=None, px=None) -> ParityMap:
         blocks = {}
-        if xx is not None:
-            blocks[(0, 0)] = xx
         if xxp is not None:
             blocks[(0, 1)] = xxp
         if px is not None:
             blocks[(1, 0)] = px
-        if pp is not None:
-            blocks[(1, 1)] = pp
         return assemble(vv, embs2, vv, embs2, ODD, blocks)
 
     def prefix_product(lo: int, hi: int) -> Poly:
         """f_lo * ... * f_hi with 1-based inclusive bounds; empty when lo > hi."""
         return prod(fs[lo - 1:hi], start=ring.one)
 
+    # block (i, i) is d_i; block (i, k), k < i, carries f_{i+1}..f_r f_1..f_{k-1},
+    # and the block just below the diagonal also sends x to -x'
     d_blocks: dict[tuple[int, int], ParityMap] = {}
     for i in range(1, r + 1):
-        diag = vv_block(xx=family.d, px=unit_rev.scale(fs[i - 1]),
-                        pp=-family.d.shifted())
-        for k in range(1, i + 1):
+        for k in range(1, i):
             coeff = prefix_product(i + 1, r) * prefix_product(1, k - 1)
-            extra = vv_block(xxp=unit.scale(coeff))
-            if k == i:
-                diag = diag + extra
-            else:
-                d_blocks[(i - 1, k - 1)] = extra
-        d_blocks[(i - 1, i - 1)] = diag
-        if i >= 2:
-            d_blocks[(i - 1, i - 2)] = (d_blocks.get((i - 1, i - 2),
-                                                     vv_block())
-                                        + vv_block(px=unit_rev.scale(-1)))
+            d_blocks[(i - 1, k - 1)] = vv_block(
+                xxp=unit.scale(coeff), px=unit_rev.scale(-1) if k == i - 1 else None)
+        d_blocks[(i - 1, i - 1)] = d_list[i - 1].d
     h_blocks: dict[tuple[int, int], ParityMap] = {}
     for i in range(1, r):
         for k in range(i + 1, r + 1):
@@ -690,6 +684,22 @@ class SXiReduceResult:
         return bool(self.replay) and all(self.verdicts.values())
 
 
+def compose_certs(c1: Certificate, c2: Certificate) -> Certificate:
+    """Concatenate moves and add claims; both parts must share ring and locus."""
+    if c1.ring != c2.ring:
+        raise ShapeError("certificates live over different rings")
+    if c1.z != c2.z:
+        raise ShapeError("certificates have different support loci")
+    by_digest: dict[str, CurvedComplex] = {}
+    combined: Counter = Counter()
+    for coeff, c in c1.claim + c2.claim:
+        by_digest.setdefault(c.digest(), c)
+        combined[c.digest()] += coeff
+    claim = [(coeff, by_digest[d]) for d, coeff in combined.items() if coeff != 0]
+    names = {**c1.names, **c2.names}
+    return Certificate(c1.ring, c1.z, claim, c1.moves + c2.moves, names)
+
+
 def s_xi_reduce(data: RamondData,
                 z: SupportLocus | None = None) -> SXiReduceResult:
     """Transport every twisted section to a product-family differential.
@@ -770,6 +780,71 @@ def s_xi_reduce(data: RamondData,
 # ---------------------------------------------------------------------------
 # lifting maps through mapping cones
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChainMap:
+    source: CurvedComplex
+    target: CurvedComplex
+    map: ParityMap
+
+
+def is_chain_map(f: ChainMap) -> Verdict:
+    """Check the intertwining identity f.d = (-1)^{|f|} d.f, exactly."""
+    if f.map.source != f.source.module or f.map.target != f.target.module:
+        raise ShapeError("chain map shape does not match its complexes")
+    if f.source.curvature != f.target.curvature:
+        return Verdict(False, "chain-map", message="curvature mismatch")
+    # f.d - (-1)^{|f|} d.f
+    sign = 1 if f.map.parity == ODD else -1
+    bad = residual([(1, f.map, f.source.d), (sign, f.target.d, f.map)])
+    if bad is None:
+        return Verdict(True, "chain-map")
+    if bad is FRAME_MISMATCH:
+        raise ShapeError("can only add maps with equal shape and parity")
+    (i, j), p = bad
+    return Verdict(False, "chain-map", location=(i, j), residual=p)
+
+
+@dataclass(frozen=True)
+class Cone:
+    complex: CurvedComplex
+    inclusion: ChainMap    # target of f -> cone
+    projection: ChainMap   # cone -> shifted source of f
+
+
+def cone(f: ChainMap) -> Cone:
+    """Mapping cone of an even chain map f: A -> B on B + A[1].
+
+    The differential is [[d_B, f u], [0, d_A[1]]] with u: A[1] -> A the
+    parity unit.  Its square is [[c_B, (d_B f - f d_A) u], [0, c_A]], so the
+    one curvature check of the cone is the chain-map check of f: a map that
+    is not a chain map raises CurvatureError there, and complexes of
+    different curvature are refused before it.  The inclusion of B and the
+    projection onto A[1] are chain maps by their block form and are not
+    checked.
+    """
+    if f.map.parity != EVEN:
+        raise ShapeError("cone needs an even chain map")
+    a, b = f.source, f.target
+    if f.map.source != a.module or f.map.target != b.module:
+        raise ShapeError("chain map shape does not match its complexes")
+    if a.curvature != b.curvature:
+        raise CurvatureError("cone of a map between complexes of different curvature")
+    a1 = a.shifted()
+    module, embs = direct_sum_modules([b.module, a1.module], ["b.", "a."])
+    coupling = f.map.compose(parity_unit(a.module))  # A[1] -> B, odd
+    d = assemble(module, embs, module, embs, ODD, {
+        (0, 0): b.d,
+        (0, 1): coupling,
+        (1, 1): a1.d,
+    })
+    total = curvature_check(module, d)
+    incl = assemble(module, embs, b.module, [list(range(b.module.total_rank))], EVEN,
+                    {(0, 0): ParityMap.identity(b.module)})
+    one = module.ring.one
+    proj = ParityMap._from_rows(module, a1.module, EVEN, (((pos, one),) for pos in embs[1]))
+    return Cone(total, ChainMap(b, total, incl), ChainMap(total, a1, proj))
+
 
 @dataclass
 class ConeLiftResult:

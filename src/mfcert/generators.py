@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .complexes import InvariantError
 from .constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
                             _multisets, apply_sym_tensor, multinomial)
-from .polynomials import LAMBDA, Poly, PolyRing, exact_divide
+from .polynomials import LAMBDA, Poly, PolyRing
 from .scalars import ScalarField, cyclotomic_field
 from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, LambdaInstance,
                         RemarkInstance, TwistInstance)
@@ -167,16 +168,9 @@ def gen_remark_family(size: int, seed: int,
 def _twist_tensor_piece(rng: random.Random, ring: PolyRing, fs: list[Poly],
                         n_factors: int) -> tuple[SuperModule, ParityMap]:
     """Tensor of rank-one factorizations whose curvatures sum to -prod(fs)."""
-    prod = ring.one
-    for f in fs:
-        prod = prod * f
     split = rng.randint(0, len(fs))
-    carrier_a = ring.one
-    for f in fs[:split]:
-        carrier_a = carrier_a * f
-    carrier_b = ring.zero - prod
-    for f in fs[:split]:
-        carrier_b = exact_divide(carrier_b, f)
+    carrier_a = prod(fs[:split], start=ring.one)
+    carrier_b = -prod(fs[split:], start=ring.one)
     atoms = [(carrier_a, carrier_b)]
     while len(atoms) < n_factors:
         p = _rand_poly(rng, ring, BASE_VARS)

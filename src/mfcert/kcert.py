@@ -247,19 +247,3 @@ def _curvature_verdict(c: CurvedComplex) -> Verdict:
     where, value = bad   # FRAME_MISMATCH reads (None, None)
     return Verdict(False, "curvature", location=where, residual=value,
                    message=f"d^2 differs from the recorded curvature {c.curvature}")
-
-
-def compose_certs(c1: Certificate, c2: Certificate) -> Certificate:
-    """Concatenate moves and add claims; both parts must share ring and locus."""
-    if c1.ring != c2.ring:
-        raise ShapeError("certificates live over different rings")
-    if c1.z != c2.z:
-        raise ShapeError("certificates have different support loci")
-    by_digest: dict[str, CurvedComplex] = {}
-    combined: Counter = Counter()
-    for coeff, c in c1.claim + c2.claim:
-        by_digest.setdefault(c.digest(), c)
-        combined[c.digest()] += coeff
-    claim = [(coeff, by_digest[d]) for d, coeff in combined.items() if coeff != 0]
-    names = {**c1.names, **c2.names}
-    return Certificate(c1.ring, c1.z, claim, c1.moves + c2.moves, names)

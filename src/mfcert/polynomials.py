@@ -71,11 +71,7 @@ class ContextError(ValueError):
 
 
 class DivisionError(ArithmeticError):
-    """Exact division failed; carries the offending remainder term."""
-
-    def __init__(self, message: str, remainder: "Poly | None" = None):
-        super().__init__(message)
-        self.remainder = remainder
+    """Long division refused its divisor: zero, or not monic in the variable."""
 
 
 class ParseError(ValueError):
@@ -312,24 +308,6 @@ class Poly:
         shift = _SLOT_BITS * (self.ring._index[var] + 1)
         return max(((key >> shift) & _SLOT_MASK for key in self.nums), default=-1)
 
-    def leading(self) -> tuple[tuple[int, ...], Scalar]:
-        if not self.nums:
-            raise ZeroDivisionError("zero polynomial has no leading term")
-        terms = self.terms
-        exps = max(terms, key=_grade_key)
-        return exps, terms[exps]
-
-    def vanishes_at(self, point: dict[str, int]) -> bool:
-        """Whether the value at a point with integer coordinates is 0."""
-        values = [point[v] for v in self.ring.variables]
-        total = [0] * self.ring.field.degree
-        for key, n in self.nums.items():
-            exps, z = split_key(key, len(values))
-            for x, e in zip(values, exps):
-                n *= x ** e
-            total[z] += n
-        return not any(total)     # 1, zeta, ..., zeta^(deg-1) are independent over Q
-
     # -- ring operations --------------------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -551,30 +529,6 @@ def _term_text(mono: str, den: int, comps: dict[int, int]) -> str:
     if len(parts) > 1:
         text = f"({text})"
     return f"{text}*{mono}" if mono else text
-
-
-def exact_divide(p: Poly, q: Poly) -> Poly:
-    """Return s with q*s == p, or raise DivisionError naming the remainder."""
-    p._check(q)
-    if q.is_zero():
-        raise DivisionError("exact division by zero")
-    ring = p.ring
-    q_exps, q_coeff = q.leading()
-    inverse = ring.const(q_coeff.inverse())
-    quo = ring.zero
-    rem = p
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
-        diff = tuple(a - b for a, b in zip(r_exps, q_exps))
-        if any(d < 0 for d in diff):
-            raise DivisionError(
-                f"non-exact division: remainder term {ring.monomial(r_exps, r_coeff)}",
-                remainder=rem,
-            )
-        piece = ring.monomial(diff, r_coeff) * inverse
-        quo = quo + piece
-        rem = rem - piece * q
-    return quo
 
 
 # ---------------------------------------------------------------------------

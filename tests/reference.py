@@ -46,7 +46,7 @@ def scalar_rank(matrix: list[list[Scalar]]) -> int:
 
 
 class ScalarBlock:
-    """Stand-in for the rank of ``complexes._IntegerBlock``, built on the reference rank.
+    """Stand-in for the rank of ``exactness._IntegerBlock``, built on the reference rank.
 
     Takes the same sparse rows.  Each entry is evaluated in the reference
     form (:func:`ref_evaluate`) into a dense matrix of scalars whose rank is

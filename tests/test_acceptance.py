@@ -11,11 +11,11 @@ import time
 import pytest
 
 from mfcert.clifford import OrthoSection, clifford_square, spinor_module
-from mfcert.complexes import (ChainMap, SupportLocus, cone, is_homotopy,
-                              strict_exactness_sample)
-from mfcert.constructions import (LambdaFamily, TwistFamily, cone_lift,
+from mfcert.complexes import SupportLocus, is_homotopy
+from mfcert.constructions import (ChainMap, LambdaFamily, TwistFamily, cone, cone_lift,
                                   cyclotomic_coupling, lemma1_build, lemma2_build,
                                   remark_decompose, s_lambda_check, s_xi_reduce)
+from mfcert.exactness import strict_exactness_sample
 from mfcert.generators import (gen_cone_lift, gen_lambda_family, gen_ramond_data,
                                gen_tau_data, gen_twist_family, _rand_poly)
 from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair,

@@ -1,11 +1,16 @@
-"""Curved complexes: curvature, homotopies, cones, filtrations, exactness probes."""
+"""Curved complexes: curvature, homotopies, cones, filtrations, exactness probes.
+
+Cones and chain maps come from ``constructions`` and the probe from
+``exactness``; the rest is the checker's ``complexes``.
+"""
 
 import pytest
 
-from mfcert.complexes import (ChainMap, CurvatureError, CurvedComplex, Filtration,
-                              SampleError, SupportLocus, cone, curvature_check,
-                              filtration_verify, graded_slice, is_chain_map,
-                              is_homotopy, strict_exactness_sample)
+from mfcert.complexes import (CurvatureError, CurvedComplex, Filtration, SupportLocus,
+                              curvature_check, filtration_verify, graded_slice,
+                              is_homotopy)
+from mfcert.constructions import ChainMap, cone, is_chain_map
+from mfcert.exactness import SampleError, strict_exactness_sample
 from mfcert.polynomials import PolyRing
 from mfcert.scalars import rationals
 from mfcert.supermod import (EVEN, ODD, ParityMap, SuperModule, assemble,

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from mfcert.complexes import (ChainMap, InvariantError, cone, curvature_check,
-                              is_homotopy)
-from mfcert.constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
-                                  cone_lift, cyclotomic_coupling, lemma1_build,
-                                  lemma2_build, remark_decompose, s_lambda_check,
-                                  s_xi_reduce)
+from mfcert.complexes import InvariantError, curvature_check, is_homotopy
+from mfcert.constructions import (ChainMap, LambdaFamily, RamondData, TauData,
+                                  TwistFamily, compose_certs, cone, cone_lift,
+                                  cyclotomic_coupling, lemma1_build, lemma2_build,
+                                  remark_decompose, s_lambda_check, s_xi_reduce)
 from mfcert.generators import (gen_cone_lift, gen_ramond_data, gen_tau_data,
                                gen_twist_family)
 from mfcert.kcert import IsoMove, IsoPair, verify
@@ -347,7 +346,7 @@ def tensor_trick_family(r):
 def test_lemma1_with_discharged_exactness(r):
     """When the constant-term complex is itself null-homotopic, composing in
     that homotopy empties the assumed-exactness list of the certificate."""
-    from mfcert.kcert import Certificate, HomotopyMove, compose_certs
+    from mfcert.kcert import Certificate, HomotopyMove
     family, h0 = tensor_trick_family(r)
     res = lemma1_build(family)
     assert res.ok

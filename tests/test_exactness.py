@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert import complexes
-from mfcert.complexes import (CurvatureError, CurvedComplex, SupportLocus,
-                              curvature_check, strict_exactness_sample, _bareiss_rank,
-                              _IntegerBlock, _point_ranks, _product_is_zero,
-                              _rank_mod_prime)
+from mfcert import exactness
+from mfcert.complexes import CurvatureError, CurvedComplex, SupportLocus, curvature_check
+from mfcert.exactness import (strict_exactness_sample, _bareiss_rank, _IntegerBlock,
+                              _point_ranks, _product_is_zero, _rank_mod_prime)
 from mfcert.constructions import (LambdaFamily, TwistFamily, lemma1_build, lemma2_build,
                                   s_xi_reduce)
 from mfcert.generators import gen_lambda_family, gen_ramond_data, gen_twist_family
@@ -150,7 +149,7 @@ def test_entries_over_different_denominators_keep_their_ratios():
 def test_rank_not_multiple_of_degree_raises(monkeypatch):
     field, ring = FIELDS[4], RINGS[4]
     block = _IntegerBlock([_sparse((ring.one,))], 1, field, 2)
-    monkeypatch.setattr(complexes, "_bareiss_rank", lambda rows: 3)
+    monkeypatch.setattr(exactness, "_bareiss_rank", lambda rows: 3)
     with pytest.raises(ArithmeticError, match="not a multiple"):
         block.rank([0, 0])
 
@@ -161,13 +160,13 @@ def test_certified_rank_not_multiple_of_degree_raises(monkeypatch):
     field, ring = FIELDS[4], RINGS[4]
     d_plus = _IntegerBlock([_sparse((ring.one,))], 1, field, 2)
     d_minus = _IntegerBlock([()], 1, field, 2)
-    monkeypatch.setattr(complexes, "_rank_mod_prime", lambda rows: 1)
+    monkeypatch.setattr(exactness, "_rank_mod_prime", lambda rows: 1)
     with pytest.raises(ArithmeticError, match="not a multiple"):
         _point_ranks(d_plus, d_minus, [0, 0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3, complexes._PRIME]),
+@given(st.sampled_from([2, 3, exactness._PRIME]),
        st.integers(0, 6).flatmap(lambda n: st.lists(
            st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=5)),
        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
@@ -177,7 +176,7 @@ def test_rank_mod_prime_is_a_lower_bound(prime, rows, combos):
         rows.append([a * x + b * y for x, y in zip(rows[a % len(rows)], rows[b % len(rows)])])
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_PRIME", prime)
+        mp.setattr(exactness, "_PRIME", prime)
         modular = _rank_mod_prime(sparse)
     exact = _bareiss_rank([list(row) for row in rows])
     assert modular <= exact
@@ -225,7 +224,7 @@ def _flat_complexes():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4), st.lists(st.integers(-4, 4), min_size=5, max_size=5),
-       st.sampled_from([2, 3, complexes._PRIME]))
+       st.sampled_from([2, 3, exactness._PRIME]))
 def test_point_ranks_match_reference_on_flat_complexes(k, values, prime):
     # small coordinates reach the common zeros, where the Koszul complexes
     # are not exact, and even ones make a Koszul complex vanish modulo 2:
@@ -235,7 +234,7 @@ def test_point_ranks_match_reference_on_flat_complexes(k, values, prime):
     values = values[:len(c.ring().variables)]
     expected = tuple(block.rank(values) for block in _odd_blocks(c, ScalarBlock))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_PRIME", prime)
+        mp.setattr(exactness, "_PRIME", prime)
         assert _point_ranks(*_odd_blocks(c, _IntegerBlock), values) == expected
 
 
@@ -260,8 +259,8 @@ def _sample_totals():
 def _reference_reports():
     """:func:`_sample_totals` with every point rank taken by the reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_IntegerBlock", ScalarBlock)
-        mp.setattr(complexes, "_point_ranks",
+        mp.setattr(exactness, "_IntegerBlock", ScalarBlock)
+        mp.setattr(exactness, "_point_ranks",
                    lambda plus, minus, values: (plus.rank(values), minus.rank(values)))
         return _sample_totals()
 
@@ -278,7 +277,7 @@ def test_sample_reports_equal_reference_sampler():
 def test_fast_path_is_taken_on_the_totals(monkeypatch):
     def refuse(rows):
         raise AssertionError("Bareiss fallback on a flat total")
-    monkeypatch.setattr(complexes, "_bareiss_rank", refuse)
+    monkeypatch.setattr(exactness, "_bareiss_rank", refuse)
     assert _sample_totals() == _reference_reports()
 
 
@@ -287,7 +286,7 @@ def test_small_prime_reports_equal_reference_sampler(monkeypatch, prime):
     # a prime that divides a pivot lowers a modular rank and sends the point
     # to the Bareiss fallback; on these totals the pivots that elimination
     # meets are units even modulo 2 and 3, so the certificate still holds
-    monkeypatch.setattr(complexes, "_PRIME", prime)
+    monkeypatch.setattr(exactness, "_PRIME", prime)
     assert _sample_totals() == _reference_reports()
 
 
@@ -312,10 +311,10 @@ def test_unchecked_complex_with_nonzero_square_falls_back(monkeypatch, even, odd
     assert not (_product_is_zero(plus, minus, d_minus.width)
                 and _product_is_zero(minus, plus, d_plus.width))
     # modulo 2 the entry 2x vanishes, and the modular ranks reach the bound
-    monkeypatch.setattr(complexes, "_PRIME", 2)
+    monkeypatch.setattr(exactness, "_PRIME", 2)
     assert _rank_mod_prime(plus) + _rank_mod_prime(minus) == min(even, odd)
     calls = []
-    monkeypatch.setattr(complexes, "_bareiss_rank", _counting(calls))
+    monkeypatch.setattr(exactness, "_bareiss_rank", _counting(calls))
     report = strict_exactness_sample(c, SupportLocus((ring.parse("x"),)), 3, seed=7)
     assert len(calls) == 2 * len(report.points) == 6
     reference = _odd_blocks(c, ScalarBlock)

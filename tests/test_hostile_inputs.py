@@ -8,7 +8,8 @@ the last line of stderr, and no traceback.  A regressed hang fails the test at
 the timeout instead of stalling the suite.  A banned datum entry exits 2 at
 its own line, naming the same variable under every string-hash seed.  A
 header line that the file's kind cannot use exits 2 at that line.  A cell
-nested past the parser's depth cap exits 2 at its line.
+nested past the parser's depth cap exits 2 at its line.  A twist family at
+the largest r the generator takes is written within five seconds.
 """
 
 import os
@@ -193,7 +194,7 @@ HEADER_CASES = [
 ]
 
 
-def _run_cli(argv, text, tmp_path, hash_seed=None):
+def _run_cli(argv, text, tmp_path, hash_seed=None, timeout=TIMEOUT):
     if text is not None:
         (tmp_path / "inst.txt").write_text(text)
         argv = [*argv, "inst.txt"]
@@ -202,7 +203,7 @@ def _run_cli(argv, text, tmp_path, hash_seed=None):
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run([sys.executable, "-m", "mfcert.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=TIMEOUT)
+                          env=env, capture_output=True, text=True, timeout=timeout)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.stdout == ""
     return proc
@@ -240,6 +241,16 @@ def test_the_banned_variable_named_does_not_depend_on_the_string_hash(hash_seed,
     assert proc.stderr.splitlines()[-1] == ("error: line 9: malformed instance data: "
                                             "datum entry xh1*lambda must not involve "
                                             "the coordinate xh1")
+
+
+def test_a_twist_family_at_the_largest_r_is_generated_at_once(tmp_path):
+    # the generator once formed the product of all r functions and divided it
+    # again by each of the first few: 8 to 40 seconds at r = 160
+    proc = _run_cli(["gen", "--kind", "twist-family", "--r", "160", "--size", "1",
+                     "--out", "inst.txt"], None, tmp_path, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "inst.txt").read_text().startswith(
+        "mfcert instance v1\nkind twist-family\n")
 
 
 # both once overflowed the recursive-descent parser: a RecursionError

@@ -17,7 +17,9 @@ defines a second verdict class for the replay or anything else to wrap it in.
 
 The checker, the modules that ``verify`` runs, imports no builder at module
 level, and the package imports only ``verify``: replaying a bundle never
-loads the code that built it.  A fresh interpreter confirms it.
+loads the code that built it.  A fresh interpreter confirms it, and that a
+replay loads no ``mfcert`` module outside the checker, the package and the
+command line: not the exactness sampler, and not ``random``.
 """
 
 import ast
@@ -130,9 +132,14 @@ def test_replaying_a_bundle_loads_no_builder(run, lemma1_bundle):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                                  if p])}
-    proc = subprocess.run([sys.executable, "-c", code, str(lemma1_bundle)], env=env,
+    # -S: a .pth hook in site-packages may import modules, random among them,
+    # before the snippet runs; the checker needs only the standard library
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(lemma1_bundle)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "mfcert.kcert" in loaded
     assert loaded.isdisjoint(f"mfcert.{name}" for name in BUILDERS)
+    assert "random" not in loaded and "mfcert.exactness" not in loaded
+    allowed = {"mfcert", "mfcert.cli"} | {f"mfcert.{name}" for name in CHECKER}
+    assert {m for m in loaded if m.split(".")[0] == "mfcert"} <= allowed

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from mfcert.complexes import CurvedComplex, SupportLocus, curvature_check
-from mfcert.constructions import LambdaFamily, TwistFamily, lemma1_build, lemma2_build
+from mfcert.constructions import (LambdaFamily, TwistFamily, compose_certs,
+                                  lemma1_build, lemma2_build)
 from mfcert.generators import gen_lambda_family, gen_twist_family
 from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove, IsoPair,
-                          compose_certs, verify)
+                          verify)
 from mfcert.polynomials import PolyRing
 from mfcert.scalars import rationals
 from mfcert.serialize import parse_bundle, write_bundle

@@ -1,4 +1,4 @@
-"""Polynomial ring semantics, exact division, and the canonical printer."""
+"""Polynomial ring semantics, long division, and the canonical printer."""
 
 import re
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcert.polynomials import (MAX_DEGREE, ContextError, DivisionError, ParseError,
-                                Poly, PolyRing, exact_divide, _Parser, _read_printed)
+                                Poly, PolyRing, _Parser, _read_printed)
 from mfcert.scalars import Scalar, cyclotomic_field, rationals
 
 
@@ -40,26 +40,6 @@ def test_evaluate(ring):
 def test_evaluate_requires_all_variables(ring):
     with pytest.raises(ContextError):
         ring.parse("x").evaluate({"x": 1})
-
-
-def test_exact_divide_lambda_powers(ring):
-    p = ring.parse("lambda^4 + 2*lambda^3")
-    assert exact_divide(p, ring.parse("lambda^3")) == ring.parse("lambda + 2")
-    assert exact_divide(ring.parse("x*lambda^3"), ring.parse("lambda^2")) == \
-        ring.parse("x*lambda")
-
-
-def test_exact_divide_multivariate(ring):
-    quotient = exact_divide(ring.parse("x^2 - y^2"), ring.parse("x + y"))
-    # multiply-back oracle
-    assert quotient * ring.parse("x + y") == ring.parse("x^2 - y^2")
-    assert quotient == ring.parse("x - y")
-
-
-def test_exact_divide_failure_reports_remainder(ring):
-    with pytest.raises(DivisionError) as err:
-        exact_divide(ring.parse("x^2 + 1"), ring.parse("x + y"))
-    assert err.value.remainder is not None
 
 
 def test_divmod_in_variable(ring):
@@ -105,14 +85,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b * c) == (a * b) * c
     assert a * b == b * a
     assert a + (b + c) == (a + b) + c
-
-
-@settings(max_examples=50, deadline=None)
-@given(_polys(RING), _polys(RING))
-def test_exact_divide_roundtrip(q, s):
-    if q.is_zero():
-        return
-    assert exact_divide(q * s, q) == s
 
 
 @settings(max_examples=60, deadline=None)

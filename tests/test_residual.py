@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert.complexes import (ChainMap, CurvatureError, CurvedComplex, InvariantError,
-                              SupportLocus, curvature_check, is_chain_map, is_homotopy)
-from mfcert.constructions import remark_decompose
+from mfcert.complexes import (CurvatureError, CurvedComplex, InvariantError,
+                              SupportLocus, curvature_check, is_homotopy)
+from mfcert.constructions import ChainMap, is_chain_map, remark_decompose
 from mfcert.kcert import Certificate, IsoMove, IsoPair, verify
 from mfcert.polynomials import PolyRing
 from mfcert.scalars import rationals

@@ -34,7 +34,7 @@ FAMILY_CHECKS = 1   # each command squares its family's map once
 CONE = ["cone-lift", "--size", "2", "--seed", "8"]
 
 # the module-level functions counted through every alias
-COUNTED = [(supermod, "residual"), (supermod, "scalar_square"), (complexes, "cone"),
+COUNTED = [(supermod, "residual"), (supermod, "scalar_square"), (constructions, "cone"),
            (clifford, "clifford_action"), (constructions, "cyclotomic_coupling")]
 
 
@@ -179,9 +179,11 @@ def _broken_twisted_section(ring, vec, cov, l_part=None, linv_part=None):
 # command, the construction step replaced, the lines it must fail, and the
 # lines the replay still proves
 BUGS = [
+    # the total's diagonal blocks are the d_i themselves, so a bad d_1 bends it too
     ("lemma2", "product_differential", _broken_product_differential,
-     ["d1-flat", "filtration", "gr1", "gr2", "gr3", "homotopy", "certificate-replay"],
-     ["family-invariant", "flat", "d2-flat", "d3-flat"]),
+     ["flat", "d1-flat", "filtration", "gr1", "gr2", "gr3", "homotopy",
+      "certificate-replay"],
+     ["family-invariant", "d2-flat", "d3-flat"]),
     ("lemma1", "HomotopyMove", _broken_homotopy,
      ["homotopy"],
      ["family-invariant", "flat", "filtration", "gr1", "gr2", "gr3"]),

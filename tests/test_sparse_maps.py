@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcert.complexes import (CurvatureError, CurvedComplex, Filtration,
-                              curvature_check, filtration_verify, graded_slice,
-                              _IntegerBlock)
+                              curvature_check, filtration_verify, graded_slice)
+from mfcert.exactness import _IntegerBlock
 from mfcert.polynomials import Poly, PolyRing, _SLOT_BITS
 from mfcert.scalars import FieldError, Scalar, ScalarField, cyclotomic_field
 from mfcert.supermod import (EVEN, ODD, ParityMap, ShapeError, SuperModule, assemble,
