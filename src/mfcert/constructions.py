@@ -6,11 +6,13 @@
   contracting homotopy of W, so that the targets sum to zero in K-theory.
   Each assembles its W and homotopy and hands them to the one builder,
   ``_filtered_total``, which makes the filtration, the slice isomorphisms and
-  the certificate; each returns a :class:`TotalResult`.  The targets are r
-  copies of the constant-term complex of a deformation family with square
-  ``lambda**r`` (lemma1), one evaluation per root of a squarefree split
-  target polynomial (remark), and the r flat differentials on V + V[1] of an
-  odd endomorphism with square -(f1...fr) (lemma2).
+  the certificate; each returns a :class:`TotalResult`.  lemma1 and remark
+  share W: ``_newton_total`` writes V[lambda]/(f) in the Newton basis of the
+  roots of f, with d(lambda) acting by Horner's rule, and its slices are the
+  evaluations (V, d(z)) at the roots.  For lemma1 f is ``lambda**r``, the
+  root 0 taken r times, so the targets are r copies of (V, d0); for remark f
+  is squarefree and split.  The targets of lemma2 are the r flat
+  differentials on V + V[1] of an odd endomorphism with square -(f1...fr).
 * :func:`s_lambda_check` and :func:`s_xi_reduce` drive the spinor-side
   constructions: a deformed isotropic section squaring to lambda**r, and the
   root-of-unity twisted sections whose transported actions are exactly the
@@ -108,11 +110,6 @@ class LambdaFamily:
     @classmethod
     def from_map(cls, module: SuperModule, d_lambda: ParityMap, r: int) -> "LambdaFamily":
         return cls(module, tuple(_lambda_coefficients(d_lambda, r)), r)
-
-    @property
-    def d0_complex(self) -> CurvedComplex:
-        """(V, d0): flat, as d0^2 is the lambda^0 coefficient of d(lambda)^2 = lambda^r * id."""
-        return CurvedComplex(self.module, self.coefficients[0], self.module.ring.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +221,55 @@ def _filtered_total(z: SupportLocus, w_module: SuperModule, embs: list[list[int]
     return TotalResult(w, filt, targets, homotopy, Certificate(ring, z, claim, moves, names))
 
 
-def lemma1_build(family: LambdaFamily,
-                 z: SupportLocus | None = None) -> TotalResult:
-    """Total complex on V[lambda]/(lambda^r) with filtration and null homotopy."""
-    r = family.r
-    module = family.module
-    w_module, embs = direct_sum_modules([module] * r, [f"l{i}." for i in range(r)])
+def _newton_total(module: SuperModule, coefficients: list[ParityMap], roots: list[Poly],
+                  prefix: str, z: SupportLocus | None, targets: list[CurvedComplex],
+                  claim: list[tuple[int, CurvedComplex]], labels: list[str]) -> TotalResult:
+    """The read total on V[lambda]/(f) of d(lambda) = sum_m coefficients[m] lambda^m,
+    f = prod (lambda - z_k) over ``roots``, in the Newton basis
+    b_k = (lambda - z_1)...(lambda - z_k): slot k is V b_k.
+
+    There lambda b_k = b_(k+1) + z_(k+1) b_k, and d(lambda) acts on each b_j by
+    Horner's rule.  With the roots taken twice, b_(r+k) = f b_k: the slots
+    r..2r-1 of d(lambda) b_j carry its quotient by f, the contracting homotopy.
+    """
+    r = len(roots)
+    zs = [*roots, *roots]
     d_blocks: dict[tuple[int, int], ParityMap] = {}
     h_blocks: dict[tuple[int, int], ParityMap] = {}
     for j in range(r):
-        for k, coeff in enumerate(family.coefficients):
-            if coeff.is_zero():
-                continue
-            if k + j < r:
-                d_blocks[(k + j, j)] = coeff
-            else:
-                h_blocks[(k + j - r, j)] = coeff
-    d0 = family.d0_complex
+        column: dict[int, ParityMap] = {}   # slot k -> the coefficient map of b_k
+        for coeff in reversed(coefficients):   # column <- lambda column + coeff b_j
+            shifted = {j: coeff}
+            for k, m in column.items():
+                _add_slot(shifted, k + 1, m)
+                if not zs[k].is_zero():
+                    _add_slot(shifted, k, m.scale(zs[k]))
+            column = shifted
+        for k, m in column.items():
+            if not m.is_zero():
+                (d_blocks if k < r else h_blocks)[(k % r, j)] = m
+    w_module, embs = direct_sum_modules([module] * r, [f"{prefix}{i}." for i in range(r)])
     res = _filtered_total(z or SupportLocus(), w_module, embs,
                           assemble(w_module, embs, w_module, embs, ODD, d_blocks),
                           assemble(w_module, embs, w_module, embs, ODD, h_blocks),
-                          [d0] * r, [(r, d0)], ["V.d0"] * r)
+                          targets, claim, labels)
     return res.read({"flat": res.w})
+
+
+def _add_slot(column: dict[int, ParityMap], k: int, m: ParityMap):
+    """column[k] += m, placing m in an empty slot."""
+    column[k] = column[k] + m if k in column else m
+
+
+def lemma1_build(family: LambdaFamily,
+                 z: SupportLocus | None = None) -> TotalResult:
+    """Total complex on V[lambda]/(lambda^r) with filtration and null homotopy:
+    the Newton total of f = lambda^r, whose root 0 is taken r times."""
+    module, r, zero = family.module, family.r, family.module.ring.zero
+    # flat: d0^2 is the lambda^0 coefficient of d(lambda)^2 = lambda^r * id
+    d0 = CurvedComplex(module, family.coefficients[0], zero)
+    return _newton_total(module, family.coefficients, [zero] * r, "l", z,
+                         [d0] * r, [(r, d0)], ["V.d0"] * r)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +281,11 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
                      z: SupportLocus | None = None) -> TotalResult:
     """Split d(lambda)^2 = f(lambda) * id over the given distinct roots of f.
 
-    The total complex V[lambda]/(f) is written in the telescoping basis
-    b_k = (lambda - z_1)...(lambda - z_k); the slot filtration then has the
-    evaluation complexes (V, d(z_k)) as its graded slices, and the division
-    of d(lambda) by f supplies the contracting homotopy.
+    The total complex V[lambda]/(f) is written in the Newton basis
+    b_k = (lambda - z_1)...(lambda - z_k) of the roots, where d(lambda) acts by
+    Horner's rule; the slot filtration then has the evaluation complexes
+    (V, d(z_k)) as its graded slices, and the quotient of d(lambda) * b_j by
+    f supplies the contracting homotopy.
     """
     ring = module.ring
     _require_lambda(ring)
@@ -284,70 +309,17 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
                 raise InvariantError(
                     f"repeated root {roots[i]}: target polynomial is not squarefree")
     # family shape: coefficients lambda-free of degree <= r-1
-    _lambda_coefficients(d_lambda, r)
+    coefficients = _lambda_coefficients(d_lambda, r)
     if residual([(1, d_lambda, d_lambda)], diagonal=(module, f)) is not None:
         raise InvariantError("family square is not f(lambda) * id")
 
-    w_module, embs = direct_sum_modules([module] * r, [f"b{i}." for i in range(r)])
-    n = module.total_rank
-
-    # multiplication by d(lambda) mod f in the power basis, plus the quotient
-    # map, as sparse rows per (slot, slot) block: row-major, columns ascending
-    d_power: dict[tuple[int, int], list[list]] = {}
-    h_power: dict[tuple[int, int], list[list]] = {}
-    for j in range(r):
-        for a, b, p in d_lambda.scale(lam**j).nonzero():
-            quo, rem = p.divmod_in(LAMBDA, f)
-            for blocks, part in ((d_power, rem), (h_power, quo)):
-                for k, coeff in part.coefficients_in(LAMBDA).items():
-                    blocks.setdefault((k, j), [[] for _ in range(n)])[a].append((b, coeff))
-
-    def _blocks_to_map(blockdict) -> ParityMap:
-        return assemble(w_module, embs, w_module, embs, ODD,
-                        {slots: ParityMap._from_rows(module, module, ODD, map(tuple, rows))
-                         for slots, rows in blockdict.items()})
-
-    d_w_power = _blocks_to_map(d_power)
-    h_w_power = _blocks_to_map(h_power)
-
-    # unitriangular change to the telescoping basis b_k = prod_{j<k}(lambda - z_j)
-    basis_polys = [ring.one]
-    for k in range(1, r):
-        basis_polys.append(basis_polys[-1] * (lam - roots[k - 1]))
-    t_cols = [[bp.coefficient_in(LAMBDA, i) for i in range(r)] for bp in basis_polys]
-    # invert the unitriangular slot matrix by forward substitution
-    tinv_cols: list[list[Poly]] = []
-    for k in range(r):
-        col = [ring.zero] * r
-        col[k] = ring.one
-        for i in range(k - 1, -1, -1):
-            acc = ring.zero
-            for m in range(i + 1, r):
-                acc = acc + t_cols[m][i] * col[m]
-            col[i] = -acc
-        tinv_cols.append(col)
-
-    def _slot_matrix(cols) -> ParityMap:
-        blocks = {}
-        for k in range(r):
-            for i in range(r):
-                p = cols[k][i]
-                if not p.is_zero():
-                    blocks[(i, k)] = ParityMap.identity(module).scale(p)
-        return assemble(w_module, embs, w_module, embs, EVEN, blocks)
-
-    u = _slot_matrix(t_cols)
-    u_inv = _slot_matrix(tinv_cols)
     targets = []
     for zr in roots:   # flat: d(z)^2 = f(z) * id = 0 at a root z
         d_at = d_lambda.entrywise(lambda p: p.substitute(LAMBDA, zr))
         targets.append(CurvedComplex(module, d_at, ring.zero))
-    res = _filtered_total(z or SupportLocus(), w_module, embs,
-                          u_inv.compose(d_w_power).compose(u),
-                          u_inv.compose(h_w_power).compose(u),
-                          targets, [(1, t) for t in targets],
-                          [f"V.d(root{k})" for k in range(1, r + 1)])
-    return res.read({"flat": res.w})
+    return _newton_total(module, coefficients, roots, "b", z, targets,
+                         [(1, t) for t in targets],
+                         [f"V.d(root{k})" for k in range(1, r + 1)])
 
 
 # ---------------------------------------------------------------------------

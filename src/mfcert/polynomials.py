@@ -70,10 +70,6 @@ class ContextError(ValueError):
     """Operands do not share a variable context."""
 
 
-class DivisionError(ArithmeticError):
-    """Long division refused its divisor: zero, or not monic in the variable."""
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int | None = None):
         super().__init__(message)
@@ -438,26 +434,6 @@ class Poly:
             k = (key >> shift) & _SLOT_MASK
             buckets.setdefault(k, {})[key - (k << shift)] = n
         return {k: normalised(self.ring, self.den, t) for k, t in buckets.items()}
-
-    def divmod_in(self, var: str, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division by a divisor that is monic in ``var``."""
-        self._check(divisor)
-        d = divisor.degree_in(var)
-        if d < 0:
-            raise DivisionError("division by zero polynomial")
-        lead = divisor.coefficient_in(var, d)
-        if not lead.is_one():
-            raise DivisionError(f"divisor is not monic in {var}: leading coefficient {lead}")
-        v = self.ring.var(var)
-        quo = self.ring.zero
-        rem = self
-        while rem.degree_in(var) >= d:
-            k = rem.degree_in(var)
-            top = rem.coefficient_in(var, k)
-            piece = top * v ** (k - d)
-            quo = quo + piece
-            rem = rem - piece * divisor
-        return quo, rem
 
     # -- printing -------------------------------------------------------------
 

@@ -36,6 +36,11 @@ MAX_FIELD_ORDER = 120
 # factorial(r - 1).
 MAX_R = 2 * MAX_DEGREE
 
+# The largest c1rank a tau-data or ramond-data file may name: the Clifford
+# action is dense on 2^c1rank spinors (twice that for sxi), so a hostile
+# ``c1rank 22`` ran out of memory.  Generated files stay at c1rank 3 or below.
+MAX_C1_RANK = 8
+
 
 class FileFormatError(ParseError):
     def __init__(self, message: str, line: int | None = None):
@@ -486,8 +491,10 @@ def _parse_instance(reader: _Reader):
         _, parts = reader.expect("coords")
         coords = tuple(parts)
         r = _parse_r(reader)
-        _, parts = reader.expect("c1rank")
+        line_no, parts = reader.expect("c1rank")
         c1_rank = int(parts[0])
+        if c1_rank > MAX_C1_RANK:
+            raise FileFormatError(f"c1rank {c1_rank} exceeds {MAX_C1_RANK}", line_no)
         # each entry is checked as it is read, so an error names its line
         unit = kind == "tau-data"
         dmat = _parse_matrix(reader, ring, c1_rank, coords, unit)

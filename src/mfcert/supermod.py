@@ -325,22 +325,16 @@ class ParityMap:
 
         D is the lcm of the entries' denominators.  ``rows[i]`` lists the
         terms of D * entry over the nonzero entries of row i as flat terms
-        ``(key + (column << ring.key_bits), n)``; an entry whose denominator
-        is D is used unscaled.  Raises OverflowError when an exponent has no
-        room for a product (see ``polynomials.check_room``).
+        ``(key + (column << ring.key_bits), n)``.  Raises OverflowError when
+        an exponent has no room for a product (see ``polynomials.check_room``).
         """
         if self._ints is None:
             ring = self.source.ring
             shift = ring.key_bits
-            dens = {p.den for row in self.rows for _, p in row}
-            den = lcm(*dens)
-            if len(dens) == 1:   # every entry is already over D
-                rows = [[(k + col, n) for j, p in row for col in (j << shift,)
-                         for k, n in p.nums.items()] for row in self.rows]
-            else:
-                rows = [[(k + col, n * scale) for j, p in row
-                         for col, scale in ((j << shift, den // p.den),)
-                         for k, n in p.nums.items()] for row in self.rows]
+            den = lcm(*{p.den for row in self.rows for _, p in row})
+            rows = [[(k + col, n * scale) for j, p in row
+                     for col, scale in ((j << shift, den // p.den),)
+                     for k, n in p.nums.items()] for row in self.rows]
             # the column bits of a flat key lie above the slots check_room reads
             check_room(map(_column, chain.from_iterable(rows)), ring)
             self._ints = (den, rows)

@@ -22,19 +22,24 @@ GENS = {
     "ramond.txt": ["ramond-data", "--r", "3", "--size", "2", "--seed", "1",
                    "--field", "cyclotomic:3"],
     "cone.txt": ["cone-lift", "--size", "2", "--seed", "8"],
+    # roots x and -x + 1: a root that is not a constant, over Q(zeta_3)
+    "remark3.txt": ["remark-family", "--size", "3", "--seed", "5", "--field", "cyclotomic:3"],
+    "lambda5.txt": ["lambda-family", "--r", "5", "--size", "3", "--seed", "2"],
 }
 
-# commands with their input and extra flags; those with a bundle write one
+# commands with their input, extra flags and the bundle they write, if any
 RUNS = [
-    ("lemma1", "lambda.txt", [], True),
-    ("lemma2", "twist.txt", [], True),
-    ("remark", "remark.txt", [], True),
-    ("slambda", "tau.txt", [], True),
-    ("sxi", "ramond.txt", [], True),
-    ("conelift", "cone.txt", [], False),
-    ("check-mf", "twist.txt", [], False),
-    ("exactness", "koszul.txt", ["--trials", "5", "--seed", "1", "--zgens", "x"], False),
-    ("lemma1", "invalid.txt", [], False),
+    ("lemma1", "lambda.txt", [], "lemma1.bundle"),
+    ("lemma2", "twist.txt", [], "lemma2.bundle"),
+    ("remark", "remark.txt", [], "remark.bundle"),
+    ("slambda", "tau.txt", [], "slambda.bundle"),
+    ("sxi", "ramond.txt", [], "sxi.bundle"),
+    ("conelift", "cone.txt", [], None),
+    ("check-mf", "twist.txt", [], None),
+    ("exactness", "koszul.txt", ["--trials", "5", "--seed", "1", "--zgens", "x"], None),
+    ("lemma1", "invalid.txt", [], None),
+    ("remark", "remark3.txt", [], "remark3.bundle"),
+    ("lemma1", "lambda5.txt", [], "lemma1-r5.bundle"),
 ]
 
 KOSZUL = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x\n"
@@ -135,6 +140,31 @@ EXPECTED = {
         "8872ee812c53a1c66a9a3c9301b53196fb8df3831625fc1f9a5fbd1020350dc4",
     "verify overclaim.bundle json":
         "21d514d235d13269834b46a3b83f655caa0639c7c72f8903d85e3c5ecfc63405",
+    # recorded before remark and lemma1 shared the Newton-basis builder
+    "remark3.txt":
+        "1ca27681984559653cfaf66e71bc6c056e6ba671247f96acbb8a2cd37a44a5fb",
+    "lambda5.txt":
+        "e87a9ea639c73e185ec0c92e880be62ddb377323669f8b2cd373c4740279f7ce",
+    "remark remark3.txt":
+        "a6ce4373cea977f68459d53b27ad2acec1b47344bb627836b0eefa40f431d741",
+    "remark remark3.txt json":
+        "ed2fff9ca000e42b8de8a06169e959b7b88220700ad55571e81488986701d0a2",
+    "remark remark3.txt bundle":
+        "5fe2e25e2f06338270476713360dfde3539ffec47124bf65921cf27111ffff98",
+    "lemma1 lambda5.txt":
+        "1908f2394e3bbb8f05771b4b9d0c684ae79db6a43bae543c43dbde2eb8ddda64",
+    "lemma1 lambda5.txt json":
+        "bbbc7f3e8154456264a10ead836b7bb35b5e75fb979b1da469e0dc5186f3c17b",
+    "lemma1 lambda5.txt bundle":
+        "9036ea2f258b68aa2f8f73920aac5c62029dc9b16738ece1d6074b8239a9965a",
+    "verify remark3.bundle":
+        "8dff2d66437dea3358a50391387147f74d5e2a582bcc91edcaee2748052ef32e",
+    "verify remark3.bundle json":
+        "580c1cfe145cc417f15c5f30a495b5b68bae6b1a357fd2cf98b9ae9961532c5e",
+    "verify lemma1-r5.bundle":
+        "073d996da7fe2f33bd98c5188842bafe6adbc3757297412fabe398f87a685486",
+    "verify lemma1-r5.bundle json":
+        "0fd4877d4190c53b203cd052b143df153b0cde0ffac703ef66c84a43eb5cfd76",
 }
 
 
@@ -183,16 +213,15 @@ def corpus() -> dict[str, str]:
     Path("koszul.txt").write_text(KOSZUL)
     Path("invalid.txt").write_text(INVALID)
     bundles = []
-    for command, source, extra, writes in RUNS:
+    for command, source, extra, bundle in RUNS:
         tag = f"{command} {source}"
         argv = [command, source, *extra, "--json-report", "report.json"]
-        if writes:
-            bundle = f"{command}.bundle"
+        if bundle:
             argv += ["--out", bundle]
             bundles.append(bundle)
         digests[tag] = _sha(_run(argv))
         digests[f"{tag} json"] = _sha(Path("report.json").read_bytes())
-        if writes:
+        if bundle:
             digests[f"{tag} bundle"] = _sha(Path(bundle).read_bytes())
     lemma1 = Path("lemma1.bundle").read_text()
     derived = {"corrupt.bundle": _corrupt_homotopy_entry(lemma1),

@@ -1,7 +1,7 @@
-"""Hostile values of ``r``, and datum entries that involve a banned variable,
-through a real ``python -m mfcert.cli`` process.
+"""Hostile values of ``r`` and ``c1rank``, and datum entries that involve a
+banned variable, through a real ``python -m mfcert.cli`` process.
 
-Each ``r`` case once hung or ended in a traceback.  It must now exit within
+Each ``r`` or ``c1rank`` case once hung or ended in a traceback.  It must now exit within
 the timeout with its exit code (2 at the file reader or the ``--r`` flag, 1
 where a generator refuses an r below its kind's minimum), a located message as
 the last line of stderr, and no traceback.  A regressed hang fails the test at
@@ -78,6 +78,7 @@ e2 0
 R_LINE = r"^error: line {line}: r {r} exceeds 160$"
 R_FLAG = r"^mfcert gen: error: argument --r: r {r} exceeds 160$"
 R_LOW = r"^error: {kind} needs r >= {least}, got {r}$"
+C1_LINE = r"^error: line 7: c1rank {c1} exceeds 8$"
 
 # id, command, instance text (or None), exit code, last stderr line
 CASES = [
@@ -89,6 +90,11 @@ CASES = [
      R_LINE.format(line=6, r=40000)),
     ("sxi-r-huge", ["sxi"], RAMOND_DATA.format(r=999999999, r1=999999998), 2,
      R_LINE.format(line=6, r=999999999)),
+    # a spinor module of rank 2^22: once a MemoryError from the dense Clifford action
+    ("slambda-c1rank-22", ["slambda"], TAU_DATA.format(r=3, r1=2).replace(
+        "c1rank 1", "c1rank 22"), 2, C1_LINE.format(c1=22)),
+    ("sxi-c1rank-22", ["sxi"], RAMOND_DATA.format(r=3, r1=2).replace(
+        "c1rank 1", "c1rank 22"), 2, C1_LINE.format(c1=22)),
     ("gen-twist-r-huge", ["gen", "--kind", "twist-family", "--r", "999999999"], None, 2,
      R_FLAG.format(r=999999999)),
     ("gen-lambda-r-huge", ["gen", "--kind", "lambda-family", "--r", "999999999"], None, 2,

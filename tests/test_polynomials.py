@@ -1,4 +1,4 @@
-"""Polynomial ring semantics, long division, and the canonical printer."""
+"""Polynomial ring semantics and the canonical printer."""
 
 import re
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcert.polynomials import (MAX_DEGREE, ContextError, DivisionError, ParseError,
+from mfcert.polynomials import (MAX_DEGREE, ContextError, ParseError,
                                 Poly, PolyRing, _Parser, _read_printed)
 from mfcert.scalars import Scalar, cyclotomic_field, rationals
 
@@ -40,19 +40,6 @@ def test_evaluate(ring):
 def test_evaluate_requires_all_variables(ring):
     with pytest.raises(ContextError):
         ring.parse("x").evaluate({"x": 1})
-
-
-def test_divmod_in_variable(ring):
-    f = ring.parse("lambda^2 - x^2")
-    p = ring.parse("lambda^3 + x*lambda + 1")
-    quo, rem = p.divmod_in("lambda", f)
-    assert quo * f + rem == p
-    assert rem.degree_in("lambda") < 2
-
-
-def test_divmod_requires_monic(ring):
-    with pytest.raises(DivisionError):
-        ring.parse("lambda").divmod_in("lambda", ring.parse("x*lambda + 1"))
 
 
 def test_context_mismatch(ring):

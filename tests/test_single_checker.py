@@ -21,11 +21,11 @@ from mfcert.constructions import RamondData
 from mfcert.supermod import ParityMap
 
 # instance kind and generator flags, and the products the construction itself
-# composes (remark's change to the telescoping basis: u^-1 d u and u^-1 h u)
+# composes (none: remark applies d(lambda) in the Newton basis by Horner's rule)
 FIXTURES = {
     "lemma1": (["lambda-family", "--r", "3", "--size", "2", "--seed", "1"], 0),
     "lemma2": (["twist-family", "--r", "3", "--size", "2", "--seed", "5"], 0),
-    "remark": (["remark-family", "--size", "2", "--seed", "1"], 4),
+    "remark": (["remark-family", "--size", "2", "--seed", "1"], 0),
     "sxi": (["ramond-data", "--r", "3", "--size", "2", "--seed", "1",
              "--field", "cyclotomic:3"], 0),
     "slambda": (["tau-data", "--r", "3", "--size", "2", "--seed", "6"], 0),
