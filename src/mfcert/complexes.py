@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .polynomials import Poly
-from .supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, ShapeError,
+from .supermod import (FRAME_MISMATCH, ODD, ParityMap, ShapeError,
                        SuperModule, residual, scalar_square)
 
 
@@ -77,12 +77,6 @@ class CurvedComplex:
     def shifted(self) -> "CurvedComplex":
         """Parity shift; the differential changes sign, curvature is unchanged."""
         return CurvedComplex(self.module.shifted(), -self.d.shifted(), self.curvature)
-
-    def identity_map(self) -> ParityMap:
-        return ParityMap.identity(self.module)
-
-    def zero_map(self) -> ParityMap:
-        return ParityMap.zero(self.module, self.module, EVEN)
 
     def canonical_text(self) -> str:
         lines = [
@@ -144,7 +138,13 @@ def is_homotopy(source: CurvedComplex, target: CurvedComplex, h: ParityMap,
     """Check d_target.h + h.d_source == lhs - rhs, exactly."""
     if h.parity != ODD:
         return Verdict(False, "homotopy", message="homotopy must be odd")
-    bad = residual([(1, target.d, h), (1, h, source.d)], [(-1, lhs), (1, rhs)])
+    return homotopy_verdict(residual([(1, target.d, h), (1, h, source.d)],
+                                     [(-1, lhs), (1, rhs)]))
+
+
+def homotopy_verdict(bad) -> Verdict:
+    """The ``homotopy`` verdict on what :func:`residual` returned for a
+    homotopy identity; a frame mismatch raises ShapeError."""
     if bad is None:
         return Verdict(True, "homotopy")
     if bad is FRAME_MISMATCH:
@@ -213,10 +213,11 @@ def slice_basis(c: CurvedComplex, f: Filtration, j: int) -> tuple[SuperModule, l
     """
     indices = f.slice_indices(j)
     mod = c.module
-    even = [i for i in indices if mod.parity(i) == EVEN]
-    odd = [i for i in indices if mod.parity(i) == ODD]
-    sub = SuperModule(mod.ring, tuple(mod.labels[i] for i in even),
-                      tuple(mod.labels[i] for i in odd))
+    labels, e = mod.labels, mod.even_rank
+    even = [i for i in indices if i < e]
+    odd = [i for i in indices if i >= e]
+    sub = SuperModule(mod.ring, tuple(labels[i] for i in even),
+                      tuple(labels[i] for i in odd))
     return sub, even + odd
 
 

@@ -59,12 +59,22 @@ def _require_lambda(ring: PolyRing):
 
 
 def _lambda_coefficients(m: ParityMap, limit: int) -> list[ParityMap]:
-    """Split a map into lambda-degree coefficient maps; degrees >= limit rejected."""
-    for _, _, p in m.nonzero():
-        if p.degree_in(LAMBDA) >= limit:
-            raise InvariantError(
-                f"entry {p} has lambda-degree {p.degree_in(LAMBDA)} >= {limit}")
-    return [m.entrywise(lambda p, k=k: p.coefficient_in(LAMBDA, k)) for k in range(limit)]
+    """Split a map into lambda-degree coefficient maps; degrees >= limit rejected.
+
+    Each entry is split in one pass; the first entry in row-major order whose
+    lambda-degree reaches ``limit`` is the one rejected.
+    """
+    rows = [[[] for _ in m.rows] for _ in range(limit)]
+    for i, row in enumerate(m.rows):
+        for j, p in row:
+            parts = p.coefficients_in(LAMBDA)
+            top = max(parts)
+            if top >= limit:
+                raise InvariantError(f"entry {p} has lambda-degree {top} >= {limit}")
+            for k, q in parts.items():
+                rows[k][i].append((j, q))
+    return [ParityMap._from_rows(m.source, m.target, m.parity, map(tuple, split))
+            for split in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +90,12 @@ class LambdaFamily:
     r: int
 
     def __post_init__(self):
+        self._check(None)
+
+    def _check(self, total: ParityMap | None):
+        """Check the family.  ``total`` is None, or the map the coefficients
+        were split from: they are then lambda-free by construction, and
+        ``total`` is squared as it is instead of being summed again."""
         if self.r < 2:
             raise InvariantError(f"need r >= 2, got {self.r}")
         _require_lambda(self.module.ring)
@@ -89,13 +105,15 @@ class LambdaFamily:
         for k, m in enumerate(self.coefficients):
             if m.parity != ODD or m.source != self.module or m.target != self.module:
                 raise InvariantError(f"coefficient {k} is not an odd endomorphism")
+            if total is not None:
+                continue
             for _, _, p in m.nonzero():
                 if p.degree_in(LAMBDA) > 0:
                     raise InvariantError(
                         f"coefficient {k} entry {p} must be lambda-free")
-        ring = self.module.ring
-        lam = ring.var(LAMBDA)
-        total = self.total_map()
+        if total is None:
+            total = self.total_map()
+        lam = self.module.ring.var(LAMBDA)
         if residual([(1, total, total)], diagonal=(self.module, lam ** self.r)) is not None:
             raise InvariantError("family square is not lambda^r * id")
 
@@ -109,7 +127,13 @@ class LambdaFamily:
 
     @classmethod
     def from_map(cls, module: SuperModule, d_lambda: ParityMap, r: int) -> "LambdaFamily":
-        return cls(module, tuple(_lambda_coefficients(d_lambda, r)), r)
+        """The family of ``d_lambda``, split by lambda-degree and squared as read."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "module", module)
+        object.__setattr__(family, "coefficients", tuple(_lambda_coefficients(d_lambda, r)))
+        object.__setattr__(family, "r", r)
+        family._check(d_lambda)
+        return family
 
 
 # ---------------------------------------------------------------------------

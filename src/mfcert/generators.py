@@ -18,7 +18,7 @@ from .complexes import InvariantError
 from .constructions import (LambdaFamily, RamondData, TauData, TwistFamily,
                             _multisets, apply_sym_tensor, multinomial)
 from .polynomials import LAMBDA, Poly, PolyRing
-from .scalars import ScalarField, cyclotomic_field
+from .scalars import FieldError, ScalarField, cyclotomic_field, roots_of_unity
 from .serialize import (MAX_FIELD_ORDER, ConeLiftInstance, LambdaInstance,
                         RemarkInstance, TwistInstance)
 from .supermod import (EVEN, ODD, ParityMap, SuperModule, direct_sum_modules,
@@ -324,6 +324,12 @@ def gen_ramond_data(r: int, size: int, seed: int,
     _require_r(r, 2, "ramond-data")
     if field is None and r > MAX_FIELD_ORDER:   # its default field is Q(zeta_r)
         raise InvariantError(f"ramond-data over cyclotomic {r} needs r <= {MAX_FIELD_ORDER}")
+    if field is not None:   # sxi twists by every r-th root of unity
+        try:
+            roots_of_unity(field, r)
+        except FieldError:
+            raise InvariantError(f"ramond-data with r = {r} needs a primitive root of "
+                                 f"unity of order {r}, which {field!r} lacks") from None
     rng = random.Random(seed)
     field = field or cyclotomic_field(r)
     n0 = 1 if size <= 1 else 2

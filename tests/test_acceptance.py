@@ -23,7 +23,7 @@ from mfcert.kcert import (Certificate, FiltrationMove, HomotopyMove, IsoMove, Is
 from mfcert.polynomials import PolyRing
 from mfcert.scalars import cyclotomic_field, rationals, roots_of_unity
 from mfcert.serialize import parse_instance, write_instance
-from mfcert.supermod import ODD, ParityMap, parity_unit
+from mfcert.supermod import EVEN, ODD, ParityMap, parity_unit
 
 # registry of (complex, locus-cycle position) pairs certified null-homotopic,
 # shared with the exactness-consistency criterion
@@ -360,7 +360,8 @@ def test_criterion_8_mutation_soundness():
     detected = 0
     for _ in range(100):
         bad, _ = _corrupt_map(res.homotopy.h, rng, slots)
-        if not is_homotopy(w, w, bad, w.identity_map(), w.zero_map()):
+        if not is_homotopy(w, w, bad, ParityMap.identity(w.module),
+                           ParityMap.zero(w.module, w.module, EVEN)):
             detected += 1
     results["lifting"] = detected
     assert detected >= 99

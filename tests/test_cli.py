@@ -182,6 +182,24 @@ def test_sxi_command(tmp_path, capsys):
     assert run(["verify", bundle]) == 0
 
 
+def test_gen_ramond_data_refuses_a_field_without_the_roots_of_unity(tmp_path, capsys):
+    # sxi twists by every r-th root of unity, so such a file could never certify
+    for r, field in [(3, "Q"), (3, "cyclotomic:4"), (4, "cyclotomic:3")]:
+        inst = tmp_path / f"ramond-{r}-{field}.txt"
+        assert run(["gen", "--kind", "ramond-data", "--r", r, "--size", "1",
+                    "--seed", "2", "--field", field, "--out", inst]) == 1
+        assert not inst.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"primitive root of unity of order {r}" in err
+    # the fields that hold them still generate, and the file certifies
+    for r, field in [(2, "Q"), (4, "cyclotomic:4"), (3, "cyclotomic:6")]:
+        inst = tmp_path / f"ramond-{r}-{field}.txt"
+        assert run(["gen", "--kind", "ramond-data", "--r", r, "--size", "1",
+                    "--seed", "2", "--field", field, "--out", inst]) == 0
+        assert run(["sxi", inst]) == 0
+
+
 def test_conelift_command(tmp_path, capsys):
     inst = tmp_path / "cone.txt"
     assert run(["gen", "--kind", "cone-lift", "--size", "2", "--seed", "8",

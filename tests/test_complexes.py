@@ -99,8 +99,9 @@ def test_odd_chain_maps_anticommute():
 def test_homotopy_trivial_and_perturbed():
     c = zero_complex()
     h = ParityMap.zero(c.module, c.module, ODD)
-    assert is_homotopy(c, c, h, c.identity_map(), c.identity_map())
-    bad = is_homotopy(c, c, h, c.identity_map(), c.zero_map())
+    ident = ParityMap.identity(c.module)
+    assert is_homotopy(c, c, h, ident, ident)
+    bad = is_homotopy(c, c, h, ident, ParityMap.zero(c.module, c.module, EVEN))
     assert not bad and bad.location == (0, 0)
 
 
@@ -116,7 +117,8 @@ def test_cone_of_identity_is_null_homotopic():
                  {(1, 0): parity_unit(c.module.shifted())})
     flat_cone = CurvedComplex(cn.complex.module, cn.complex.d, cn.complex.curvature)
     v = is_homotopy(flat_cone, flat_cone, h,
-                    flat_cone.identity_map(), flat_cone.zero_map())
+                    ParityMap.identity(flat_cone.module),
+                    ParityMap.zero(flat_cone.module, flat_cone.module, EVEN))
     assert v, v.describe()
 
 

@@ -98,7 +98,8 @@ def test_lemma1_homotopy_is_sound_witness():
         if done:
             break
     bad = ParityMap(w.module, w.module, ODD, entries)
-    v = is_homotopy(w, w, bad, w.identity_map(), w.zero_map())
+    v = is_homotopy(w, w, bad, ParityMap.identity(w.module),
+                    ParityMap.zero(w.module, w.module, EVEN))
     assert not v and v.location is not None
 
 
@@ -351,7 +352,8 @@ def test_lemma1_with_discharged_exactness(r):
     res = lemma1_build(family)
     assert res.ok
     d0 = res.targets[0]
-    v = is_homotopy(d0, d0, h0, d0.identity_map(), d0.zero_map())
+    v = is_homotopy(d0, d0, h0, ParityMap.identity(d0.module),
+                    ParityMap.zero(d0.module, d0.module, EVEN))
     assert v, v.describe()
     assert res.certificate.assumed_exact() == ["V.d0"]
     discharge = Certificate(
