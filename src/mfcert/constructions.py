@@ -83,39 +83,14 @@ def _lambda_coefficients(m: ParityMap, limit: int) -> list[ParityMap]:
 
 @dataclass(frozen=True)
 class LambdaFamily:
-    """d(lambda) = d0 + d1*lambda + ... with d(lambda)^2 = lambda^r * id."""
+    """d(lambda) = d0 + d1*lambda + ... with d(lambda)^2 = lambda^r * id.
+
+    Build one with :meth:`from_map`, which checks the family.
+    """
 
     module: SuperModule
     coefficients: tuple[ParityMap, ...]
     r: int
-
-    def __post_init__(self):
-        self._check(None)
-
-    def _check(self, total: ParityMap | None):
-        """Check the family.  ``total`` is None, or the map the coefficients
-        were split from: they are then lambda-free by construction, and
-        ``total`` is squared as it is instead of being summed again."""
-        if self.r < 2:
-            raise InvariantError(f"need r >= 2, got {self.r}")
-        _require_lambda(self.module.ring)
-        if len(self.coefficients) != self.r:
-            raise InvariantError(
-                f"expected {self.r} coefficient maps, got {len(self.coefficients)}")
-        for k, m in enumerate(self.coefficients):
-            if m.parity != ODD or m.source != self.module or m.target != self.module:
-                raise InvariantError(f"coefficient {k} is not an odd endomorphism")
-            if total is not None:
-                continue
-            for _, _, p in m.nonzero():
-                if p.degree_in(LAMBDA) > 0:
-                    raise InvariantError(
-                        f"coefficient {k} entry {p} must be lambda-free")
-        if total is None:
-            total = self.total_map()
-        lam = self.module.ring.var(LAMBDA)
-        if residual([(1, total, total)], diagonal=(self.module, lam ** self.r)) is not None:
-            raise InvariantError("family square is not lambda^r * id")
 
     def total_map(self) -> ParityMap:
         ring = self.module.ring
@@ -127,13 +102,21 @@ class LambdaFamily:
 
     @classmethod
     def from_map(cls, module: SuperModule, d_lambda: ParityMap, r: int) -> "LambdaFamily":
-        """The family of ``d_lambda``, split by lambda-degree and squared as read."""
-        family = object.__new__(cls)
-        object.__setattr__(family, "module", module)
-        object.__setattr__(family, "coefficients", tuple(_lambda_coefficients(d_lambda, r)))
-        object.__setattr__(family, "r", r)
-        family._check(d_lambda)
-        return family
+        """The family of ``d_lambda``, split by lambda-degree and squared as read.
+
+        The coefficients are lambda-free by construction and share the parity
+        and frame of ``d_lambda``, so checking ``d_lambda`` checks them all.
+        """
+        coefficients = tuple(_lambda_coefficients(d_lambda, r))
+        if r < 2:
+            raise InvariantError(f"need r >= 2, got {r}")
+        _require_lambda(module.ring)
+        if d_lambda.parity != ODD or d_lambda.source != module or d_lambda.target != module:
+            raise InvariantError("coefficient 0 is not an odd endomorphism")
+        lam = module.ring.var(LAMBDA)
+        if residual([(1, d_lambda, d_lambda)], diagonal=(module, lam ** r)) is not None:
+            raise InvariantError("family square is not lambda^r * id")
+        return cls(module, coefficients, r)
 
 
 # ---------------------------------------------------------------------------

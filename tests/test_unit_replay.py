@@ -16,7 +16,7 @@ from mfcert.constructions import (LambdaFamily, TwistFamily, _lambda_coefficient
                                   lemma1_build, lemma2_build, remark_decompose)
 from mfcert.generators import gen_lambda_family, gen_remark_family, gen_twist_family
 from mfcert.kcert import FiltrationMove, HomotopyMove, IsoPair, _verify_iso
-from mfcert.polynomials import LAMBDA, PolyRing
+from mfcert.polynomials import LAMBDA, ContextError, PolyRing
 from mfcert.scalars import cyclotomic_field, rationals
 from mfcert.serialize import parse_bundle, write_bundle
 from mfcert.supermod import EVEN, ODD, ParityMap, ShapeError, SuperModule, residual
@@ -281,25 +281,31 @@ def test_lambda_split_matches_one_pass_per_degree(r, size, seed):
     assert fam.total_map() == inst.d_lambda
 
 
-def test_from_map_refuses_with_the_constructors_message():
+def test_from_map_refuses_with_the_fixed_messages():
+    """The refusals and their order, as they read before the one-pass split."""
     ring = PolyRing(rationals(), ("x", "y", "lambda"))
     v, w = SuperModule.free(ring, 1, 1), SuperModule.free(ring, 2, 2)
     z, lam, x = ring.zero, ring.var("lambda"), ring.var("x")
     no_lambda = PolyRing(rationals(), ("x", "y"))
     u = SuperModule.free(no_lambda, 1, 1)
     cases = [
-        (v, ParityMap(v, v, ODD, [[z, lam ** 2 + x], [lam ** 3, z]]), 2),   # degree
-        (v, ParityMap(v, v, ODD, [[z, lam ** 2], [lam, z]]), 1),            # degree first
-        (v, ParityMap(v, v, ODD, [[z, lam], [lam + x, z]]), 2),             # square
-        (v, ParityMap.zero(v, v, ODD), 1),                                  # r
-        (v, ParityMap(v, v, EVEN, [[lam, z], [z, lam]]), 2),                # parity
-        (w, ParityMap.zero(v, v, ODD), 2),                                  # module
-        (u, ParityMap.zero(u, u, ODD), 2),                                  # no lambda
+        (v, ParityMap(v, v, ODD, [[z, lam ** 2 + x], [lam ** 3, z]]), 2,
+         InvariantError, "entry lambda^2 + x has lambda-degree 2 >= 2"),
+        (v, ParityMap(v, v, ODD, [[z, lam ** 2], [lam, z]]), 1,       # degree first
+         InvariantError, "entry lambda^2 has lambda-degree 2 >= 1"),
+        (v, ParityMap(v, v, ODD, [[z, lam], [lam + x, z]]), 2,
+         InvariantError, "family square is not lambda^r * id"),
+        (v, ParityMap.zero(v, v, ODD), 1, InvariantError, "need r >= 2, got 1"),
+        (v, ParityMap.zero(v, v, ODD), 0, InvariantError, "need r >= 2, got 0"),
+        (v, ParityMap(v, v, EVEN, [[lam, z], [z, lam]]), 2,
+         InvariantError, "coefficient 0 is not an odd endomorphism"),
+        (w, ParityMap.zero(v, v, ODD), 2,
+         InvariantError, "coefficient 0 is not an odd endomorphism"),
+        (u, ParityMap.zero(u, u, ODD), 2,
+         ContextError, "ring Q[x, y] must contain the variable 'lambda'"),
     ]
-    for module, d, r in cases:
-        with pytest.raises(Exception) as want:
-            LambdaFamily(module, tuple(reference_coefficients(d, r)), r)
+    for module, d, r, kind, message in cases:
         with pytest.raises(Exception) as got:
             LambdaFamily.from_map(module, d, r)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+        assert type(got.value) is kind
+        assert str(got.value) == message
