@@ -212,7 +212,7 @@ def cmd_lemma2(args) -> int:
         raise FileFormatError("lemma2 needs a twist-family instance")
     report = Report("lemma2", {"input": args.input, "r": len(instance.functions)})
     try:
-        family = TwistFamily(instance.module, instance.d, instance.functions)
+        family = TwistFamily.from_map(instance.module, instance.d, instance.functions)
     except InvariantError as exc:
         report.add("family-invariant", False, str(exc))
         return _emit(report, args)
@@ -254,7 +254,7 @@ def cmd_slambda(args) -> int:
     _verdict_checks(report, {"zero-composition": result.composition,
                              "square-is-lambda^r": result.verdict})
     if result.family is not None:
-        chained = lemma1_build(result.family)
+        chained = lemma1_build(result.family, _zlocus(instance.ring, args.zgens))
         report.add("induced-family-chain", chained.ok)
         _write_bundle(chained.certificate, args, report)
     return _emit(report, args)
@@ -366,13 +366,13 @@ def _add_exactness(p):
 # adds the command's arguments; the command), in the order --help lists them
 COMMANDS = {
     "gen": ("generate a seeded instance file", _add_gen, cmd_gen),
-    "check-mf": ("verify the square of a map is scalar", _add_input, cmd_check_mf),
+    "check-mf": ("verify the square of a map is scalar", _add_verify, cmd_check_mf),
     "lemma1": (None, _add_input_and_out, cmd_lemma1),
     "lemma2": (None, _add_input_and_out, cmd_lemma2),
     "remark": (None, _add_input_and_out, cmd_remark),
     "slambda": (None, _add_input_and_out, cmd_slambda),
     "sxi": (None, _add_input_and_out, cmd_sxi),
-    "conelift": ("lift a map through a mapping cone", _add_input, cmd_conelift),
+    "conelift": ("lift a map through a mapping cone", _add_verify, cmd_conelift),
     "verify": ("replay a certificate bundle", _add_verify, cmd_verify),
     "exactness": ("sample fiberwise exactness off a locus", _add_exactness, cmd_exactness),
 }

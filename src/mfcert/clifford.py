@@ -102,17 +102,6 @@ class OrthoSection:
             q = q + a * b
         return q
 
-    def __add__(self, other: "OrthoSection") -> "OrthoSection":
-        if (self.ring, self.base_rank, self.extended) != (other.ring, other.base_rank, other.extended):
-            raise ShapeError("cannot add sections of different shapes")
-        ext = (self.l_part + other.l_part, self.linv_part + other.linv_part) \
-            if self.extended else (None, None)
-        return OrthoSection(
-            self.ring,
-            tuple(a + b for a, b in zip(self.vector_part, other.vector_part)),
-            tuple(a + b for a, b in zip(self.covector_part, other.covector_part)),
-            ext[0], ext[1])
-
 
 def wedge_operator(spinor: SpinorModule, coeffs: tuple[Poly, ...]) -> ParityMap:
     """Wedging with sum(coeffs[i] * generator_{i+1}); squares to zero."""

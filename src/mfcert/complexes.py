@@ -139,18 +139,18 @@ def is_homotopy(source: CurvedComplex, target: CurvedComplex, h: ParityMap,
     if h.parity != ODD:
         return Verdict(False, "homotopy", message="homotopy must be odd")
     return homotopy_verdict(residual([(1, target.d, h), (1, h, source.d)],
-                                     [(-1, lhs), (1, rhs)]))
+                                     [(-1, lhs), (1, rhs)]), "homotopy")
 
 
-def homotopy_verdict(bad) -> Verdict:
-    """The ``homotopy`` verdict on what :func:`residual` returned for a
-    homotopy identity; a frame mismatch raises ShapeError."""
+def homotopy_verdict(bad, kind: str) -> Verdict:
+    """The verdict of kind ``kind`` on what :func:`residual` returned for a
+    map identity; a frame mismatch raises ShapeError."""
     if bad is None:
-        return Verdict(True, "homotopy")
+        return Verdict(True, kind)
     if bad is FRAME_MISMATCH:
         raise ShapeError("can only add maps with equal shape and parity")
     (i, j), p = bad
-    return Verdict(False, "homotopy", location=(i, j), residual=p)
+    return Verdict(False, kind, location=(i, j), residual=p)
 
 
 # -----------------------------------------------------------------------------

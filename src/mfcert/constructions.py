@@ -35,13 +35,13 @@ from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
 from .complexes import (CurvatureError, CurvedComplex, Filtration,
                         InvariantError, SupportLocus, Verdict, curvature_check,
-                        is_homotopy, slice_basis)
+                        homotopy_verdict, is_homotopy, slice_basis)
 from .kcert import (Certificate, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
 from .scalars import Scalar
 from .serialize import check_datum_entries
-from .supermod import (EVEN, FRAME_MISMATCH, ODD, ParityMap, ShapeError,
+from .supermod import (EVEN, ODD, ParityMap, ShapeError,
                        SuperModule, assemble, direct_sum_modules, parity_unit,
                        residual)
 
@@ -91,14 +91,6 @@ class LambdaFamily:
     module: SuperModule
     coefficients: tuple[ParityMap, ...]
     r: int
-
-    def total_map(self) -> ParityMap:
-        ring = self.module.ring
-        lam = ring.var(LAMBDA)
-        total = ParityMap.zero(self.module, self.module, ODD)
-        for k, m in enumerate(self.coefficients):
-            total = total + m.scale(lam**k)
-        return total
 
     @classmethod
     def from_map(cls, module: SuperModule, d_lambda: ParityMap, r: int) -> "LambdaFamily":
@@ -223,7 +215,7 @@ def _filtered_total(z: SupportLocus, w_module: SuperModule, embs: list[list[int]
     names = {w.digest(): "W"}
     for t, label in zip(targets, labels):
         names.setdefault(t.digest(), label)
-    moves = [(-1, FiltrationMove(w, filt.steps, targets, _slice_isos(w, filt, targets))),
+    moves = [(-1, FiltrationMove(filt, tuple(targets), tuple(_slice_isos(w, filt, targets)))),
              (+1, homotopy)]
     return TotalResult(w, filt, targets, homotopy, Certificate(ring, z, claim, moves, names))
 
@@ -335,20 +327,27 @@ def remark_decompose(module: SuperModule, d_lambda: ParityMap, f: Poly,
 
 @dataclass(frozen=True)
 class TwistFamily:
-    """An odd endomorphism whose square is minus the product of the given functions."""
+    """An odd endomorphism whose square is minus the product of the given functions.
+
+    Build one with :meth:`from_map`, which checks the family.
+    """
 
     module: SuperModule
     d: ParityMap
     functions: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(self.functions) < 1:
+    @classmethod
+    def from_map(cls, module: SuperModule, d: ParityMap,
+                 functions: tuple[Poly, ...]) -> "TwistFamily":
+        """The family of ``d``, its square checked against -(f1...fr) * id."""
+        if len(functions) < 1:
             raise InvariantError("need at least one function")
-        if self.d.parity != ODD or self.d.source != self.module or self.d.target != self.module:
+        if d.parity != ODD or d.source != module or d.target != module:
             raise InvariantError("d must be an odd endomorphism of the module")
-        product = prod(self.functions, start=self.module.ring.one)
-        if residual([(1, self.d, self.d)], diagonal=(self.module, -product)) is not None:
+        product = prod(functions, start=module.ring.one)
+        if residual([(1, d, d)], diagonal=(module, -product)) is not None:
             raise InvariantError("square of d is not minus the product of the functions")
+        return cls(module, d, tuple(functions))
 
     @property
     def r(self) -> int:
@@ -692,12 +691,12 @@ def s_xi_reduce(data: RamondData,
 
     Each part is computed once: the section parts and e1, e2 for all roots,
     and c_xi once per root, as both the operand of the ``coupling-xiK`` line
-    and the section's contraction part.  No pairing is computed here and
-    :meth:`RamondData.check` is not called: each complex ``spinor.s_xiK`` is
-    recorded flat, so the replay's curvature pass proves
-    action^2 = pairing * id = 0, the isotropy, or fails it.  The product
-    family still checks its own square, so a datum that fails ``check()``
-    raises there, as :class:`TwistFamily` does for ``lemma2``.
+    and the section's contraction part.  No pairing is computed here,
+    :meth:`RamondData.check` is not called and the product family is built
+    unchecked: each complex ``spinor.s_xiK`` and each ``dK`` is recorded
+    flat, so the replay's curvature pass proves action^2 = pairing * id = 0
+    and d_K^2 = d^2 + f1...fr = 0, the isotropy, or fails it.  A datum that
+    fails ``check()`` gives a result whose replay stops at that pass.
     """
     from .scalars import roots_of_unity
 
@@ -775,13 +774,8 @@ def is_chain_map(f: ChainMap) -> Verdict:
         return Verdict(False, "chain-map", message="curvature mismatch")
     # f.d - (-1)^{|f|} d.f
     sign = 1 if f.map.parity == ODD else -1
-    bad = residual([(1, f.map, f.source.d), (sign, f.target.d, f.map)])
-    if bad is None:
-        return Verdict(True, "chain-map")
-    if bad is FRAME_MISMATCH:
-        raise ShapeError("can only add maps with equal shape and parity")
-    (i, j), p = bad
-    return Verdict(False, "chain-map", location=(i, j), residual=p)
+    return homotopy_verdict(residual([(1, f.map, f.source.d), (sign, f.target.d, f.map)]),
+                            "chain-map")
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,6 @@ class SampleReport:
     points: tuple[SamplePoint, ...] = ()
     message: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 # rank modulo this prime is the sampler's lower bound for a rank over Q
 _PRIME = 2147483647   # 2^31 - 1

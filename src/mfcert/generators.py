@@ -222,7 +222,7 @@ def gen_twist_family(r: int, size: int, seed: int,
                  {(k, k): dm for k, (_, dm) in enumerate(pieces)})
     u, u_inv = _unipotent(rng, module, BASE_VARS)
     d = _conjugate(d, u, u_inv)
-    TwistFamily(module, d, tuple(fs))   # generator self-check
+    TwistFamily.from_map(module, d, tuple(fs))   # generator self-check
     return TwistInstance(module, d, tuple(fs))
 
 

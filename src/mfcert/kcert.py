@@ -56,23 +56,28 @@ class HomotopyMove:
         # d.h + h.d - 1*id, the identity a diagonal term rather than a map
         c, h = self.complex, self.h
         return homotopy_verdict(residual([(1, c.d, h), (1, h, c.d)],
-                                         diagonal=(c.module, c.module.ring.one)))
+                                         diagonal=(c.module, c.module.ring.one)), "homotopy")
 
 
 @dataclass(frozen=True)
 class FiltrationMove:
-    """[C] = sum of the graded-slice targets, witnessed by slice isomorphisms."""
+    """[C] = sum of the graded-slice targets, witnessed by slice isomorphisms.
 
-    complex: CurvedComplex
-    steps: tuple[tuple[int, ...], ...]
+    ``filtration`` is the checked :class:`Filtration` of C that its builder
+    or the bundle reader made; C and the steps are read off it.
+    """
+
+    filtration: Filtration
     targets: tuple[CurvedComplex, ...]
     isos: tuple[IsoPair, ...]
 
-    def __init__(self, complex, steps, targets, isos):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "steps", tuple(tuple(s) for s in steps))
-        object.__setattr__(self, "targets", tuple(targets))
-        object.__setattr__(self, "isos", tuple(isos))
+    @property
+    def complex(self) -> CurvedComplex:
+        return self.filtration.complex
+
+    @property
+    def steps(self) -> tuple[tuple[int, ...], ...]:
+        return self.filtration.steps
 
     def relation(self) -> Counter:
         rel = Counter({self.complex.digest(): 1})
@@ -91,19 +96,16 @@ class FiltrationMove:
         children are the filtration check and then one check per slice, up to
         the first that fails; a failing move reads as that check.
         """
-        if len(self.targets) != len(self.steps) or len(self.isos) != len(self.steps):
+        filt, c = self.filtration, self.complex
+        if len(self.targets) != len(filt.steps) or len(self.isos) != len(filt.steps):
             return Verdict(False, "filtration-move",
                            message="one target and one isomorphism per step required")
         # the slices only sum to the whole complex if the first step spans it
-        n = self.complex.module.total_rank
-        if not self.steps or set(self.steps[0]) != set(range(n)):
+        n = c.module.total_rank
+        if not filt.steps or set(filt.steps[0]) != set(range(n)):
             return Verdict(False, "filtration-move",
                            message="first filtration step must span the module")
-        try:
-            filt = Filtration(self.complex, self.steps)
-        except ShapeError as exc:
-            return Verdict(False, "filtration-move", message=str(exc))
-        parts = [filtration_verify(self.complex, filt)]
+        parts = [filtration_verify(c, filt)]
         # No product for the slices.  verify() has checked d^2 = W*id on the
         # whole complex, and filtration_verify that d keeps every step F_j.
         # For a, c in the slice S_j = F_j - F_(j+1), (d^2)[a][c] sums
@@ -111,11 +113,11 @@ class FiltrationMove:
         # F_(j+1) would put a in F_(j+1).  So b runs over S_j alone, and
         # gr_j(d)^2 = gr_j(d^2) = W*id.  An empty slice keeps the curvature
         # 0 that curvature_check gives the zero module.
-        curvature = self.complex.curvature
+        curvature = c.curvature
         for j, (target, pair) in enumerate(zip(self.targets, self.isos), start=1):
             if not parts[-1]:
                 break
-            sub, d = graded_slice(self.complex, filt, j)
+            sub, d = graded_slice(c, filt, j)
             gr = CurvedComplex(sub, d, curvature if sub.total_rank else curvature.ring.zero)
             parts.append(_verify_iso(gr, target, pair, f"filtration-move gr{j}"))
         head = parts[-1] if not parts[-1] else Verdict(True, "filtration-move")

@@ -11,8 +11,9 @@ Phi_r; one denominator over int numerators is FLINT's ``fmpq_poly`` layout.
 A factor with an exponent of 2^15 or more raises OverflowError before a
 product, so no slot carries into the next.  Only this module knows the
 layout: the map kernels build their results with :func:`normalised` and
-:func:`fold`, and ``Poly.terms`` is an ``{exponents: Scalar}`` view for
-readers outside them.
+:func:`fold`, ``PolyRing.poly`` builds a polynomial from ``{exponents:
+coefficient}``, and ``Poly.terms`` is the ``{exponents: Scalar}`` view back
+for readers outside them.
 
 The printer groups the keys by monomial and writes the monomials in graded
 lexicographic order of the declared variables, so string output is
@@ -240,9 +241,6 @@ class PolyRing:
             raise ContextError(f"unknown variable {name!r} in {self!r}")
         return Poly(self, 1, {1 << (_SLOT_BITS * (self._index[name] + 1)): 1})
 
-    def monomial(self, exps: tuple[int, ...], coeff=1) -> "Poly":
-        return self.poly({tuple(exps): coeff})
-
     @property
     def zeta(self) -> "Poly":
         """The field's root of unity as a constant: 1 or -1 when deg = 1."""
@@ -290,12 +288,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.den == 1 and len(self.nums) == 1 and self.nums.get(0) == 1
 
-    def constant_value(self) -> Scalar | None:
-        """The scalar value if this is a constant, else None."""
-        if any(key >> _SLOT_BITS for key in self.nums):
-            return None
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
     def total_degree(self) -> int:
         nvars = self.ring.nvars
         return max((sum(split_key(key, nvars)[0]) for key in self.nums), default=-1)
@@ -340,9 +332,6 @@ class Poly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -8,8 +8,8 @@ field: its order, Phi_r and degree.  A :class:`Scalar` is one field element,
 a coefficient vector of length deg(Phi_r) over reduced fractions, so
 equality is syntactic.  Polynomials do not store scalars (they hold one
 integer form, see ``polynomials``): a Scalar is what ``PolyRing.const``
-takes, what ``roots_of_unity`` returns and what ``Poly.evaluate`` and
-``Poly.constant_value`` give back.
+takes, what ``roots_of_unity`` returns, and what ``Poly.evaluate`` and the
+``Poly.terms`` view give back.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class ScalarField:
         self.modulus = _cyclotomic_coeffs(order)
         self.degree = len(self.modulus) - 1
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.degree == 1 else f"cyclotomic({self.order})"
-
     def __repr__(self) -> str:
         return "Q" if self.degree == 1 else f"Q(zeta_{self.order})"
 
@@ -213,11 +209,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise FieldError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar | None":
@@ -250,9 +241,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -270,15 +258,6 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field, self.field._inv(self.coeffs))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:

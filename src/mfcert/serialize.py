@@ -700,7 +700,7 @@ def _parse_bundle(reader: _Reader) -> Certificate:
                 _, bwd = parse_map(reader, target.module, gr_module)
                 targets.append(target)
                 isos.append(IsoPair(fwd, bwd))
-            moves.append((coeff, FiltrationMove(cx, steps, targets, isos)))
+            moves.append((coeff, FiltrationMove(filt, tuple(targets), tuple(isos))))
         elif kind == "iso":
             line_no, parts = reader.expect("source")
             src = lookup(parts[0], line_no)

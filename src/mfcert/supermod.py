@@ -249,12 +249,6 @@ class ParityMap:
             self._dense = tuple(dense)
         return self._dense
 
-    def nonzero(self):
-        """Every nonzero entry as ``(row, column, Poly)``, in row-major order."""
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                yield i, j, p
-
     def entrywise(self, fn) -> "ParityMap":
         """The map with every nonzero entry p replaced by fn(p).
 
@@ -495,8 +489,9 @@ def parity_unit(module: SuperModule) -> ParityMap:
 
 
 def direct_sum_modules(parts: list[SuperModule],
-                       prefixes: list[str] | None = None) -> tuple[SuperModule, list[list[int]]]:
-    """Concatenate modules; returns the sum and per-part index embeddings.
+                       prefixes: list[str]) -> tuple[SuperModule, list[list[int]]]:
+    """Concatenate modules, prefixing the labels of part k by ``prefixes[k]``;
+    returns the sum and per-part index embeddings.
 
     ``embeddings[k][i]`` is the full-basis index in the sum of basis vector
     ``i`` of part ``k``.
@@ -504,8 +499,6 @@ def direct_sum_modules(parts: list[SuperModule],
     if not parts:
         raise ShapeError("direct sum of no modules")
     ring = parts[0].ring
-    if prefixes is None:
-        prefixes = [f"s{k}." for k in range(len(parts))]
     even, odd = [], []
     even_pos, odd_pos = [], []
     for k, m in enumerate(parts):

@@ -9,9 +9,9 @@ every output byte-identical::
 
 The sweep runs through ``mfcert.cli.main`` imported from ``--src``, in a
 fresh temporary directory with relative paths.  It generates every kind over
-Q, Q(zeta_3) and Q(zeta_4) for each seed, size and r, runs the construction
-of each instance with ``--json-report`` (and ``--out`` where the command
-writes a bundle), then ``verify --json-report`` on each bundle.  Each line
+Q, Q(zeta_3) and Q(zeta_4) for each seed, size and r, runs ``check-mf`` and
+the construction of each instance with ``--json-report`` (and ``--out`` where
+the command writes a bundle), then ``verify --json-report`` on each bundle.  Each line
 reads ``<sha256>  <label>``: the label names the command and its file, and
 a report's hash covers its exit code, stdout and stderr.  The last line
 counts the commands run.  pytest does not collect this file.
@@ -85,6 +85,8 @@ def sweep(main, seeds, sizes, emit) -> int:
                             [inst])
                         if not Path(inst).exists():
                             continue
+                        run(f"check-mf {stem}",
+                            ["check-mf", inst, "--json-report", "report.json"], ["report.json"])
                         argv = [command, inst, "--json-report", "report.json"]
                         files = ["report.json"]
                         if command in WRITES_BUNDLE:

@@ -87,7 +87,7 @@ def test_criterion_2_twist_family_suite():
         inst = gen_twist_family(r, size, seed)
         if seed % 10 == 0:
             inst = parse_instance(write_instance(inst))
-        family = TwistFamily(inst.module, inst.d, inst.functions)
+        family = TwistFamily.from_map(inst.module, inst.d, inst.functions)
         res = lemma2_build(family)
         assert res.ok, {k: v.describe() for k, v in res.verdicts.items()}
         assert verify(res.certificate)
@@ -95,7 +95,7 @@ def test_criterion_2_twist_family_suite():
         runs += 1
     for r in r_values:
         inst = gen_twist_family(r, 8, 2000 + r)
-        family = TwistFamily(inst.module, inst.d, inst.functions)
+        family = TwistFamily.from_map(inst.module, inst.d, inst.functions)
         assert family.module.even_rank == 8
         res = lemma2_build(family)
         assert res.ok and verify(res.certificate)
@@ -309,7 +309,7 @@ def _corrupt_certificate(cert, rng, meaningful_only):
         pairs = list(move.isos)
         bad, _ = _corrupt_map(pairs[j].forward, rng)
         pairs[j] = IsoPair(bad, pairs[j].inverse)
-        new = FiltrationMove(move.complex, move.steps, move.targets, pairs)
+        new = FiltrationMove(move.filtration, move.targets, tuple(pairs))
     else:
         bad, _ = _corrupt_map(move.iso.forward, rng)
         new = IsoMove(move.source, move.target,

@@ -241,6 +241,26 @@ def test_zgens_threads_through_to_bundle(twist_file, tmp_path):
     assert run(["lemma2", twist_file, "--out", bundle, "--zgens", "x,y"]) == 0
     text = bundle.read_text()
     assert "zgens x, y" in text
+    # slambda writes its induced lambda-family's bundle over the same locus
+    tau = tmp_path / "tau.txt"
+    assert run(["gen", "--kind", "tau-data", "--r", "3", "--size", "2",
+                "--seed", "6", "--out", tau]) == 0
+    assert run(["slambda", tau, "--out", bundle, "--zgens", "x,y"]) == 0
+    assert "zgens x, y\n" in bundle.read_text()
+    assert run(["verify", bundle]) == 0
+
+
+@pytest.mark.parametrize("command,kind", [("check-mf", "twist-family"),
+                                          ("conelift", "cone-lift")])
+def test_a_command_without_a_locus_refuses_zgens(command, kind, tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    assert run(["gen", "--kind", kind, "--out", inst]) == 0
+    assert run([command, inst]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, inst, "--zgens", "((("])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --zgens" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["(x+y+1)^100000", "x^1000000000"])

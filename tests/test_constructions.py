@@ -1,5 +1,6 @@
 """The named constructions against hand-computed and documented instances."""
 
+import dataclasses
 import random
 
 import pytest
@@ -180,7 +181,7 @@ def test_remark_constant_roots_admit_evaluation_isomorphism():
     fwd = ParityMap(w.module, summand, EVEN, fwd_entries)
     # invert the r x r scalar slot matrix exactly
     import fractions
-    mat = [[values[k][j].constant_value().as_fraction() for j in range(r)]
+    mat = [[values[k][j].evaluate(dict.fromkeys(RING.variables, 0)).coeffs[0] for j in range(r)]
            for k in range(r)]
     inv = _invert(mat)
     bwd_entries = [[RING.zero] * summand.total_rank for _ in range(w.module.total_rank)]
@@ -225,7 +226,7 @@ def test_twist_family_rejects_wrong_square():
     z = RING.zero
     d = ParityMap(v, v, ODD, [[z, RING.parse("y")], [RING.parse("x"), z]])
     with pytest.raises(InvariantError):
-        TwistFamily(v, d, (RING.parse("x"), RING.parse("y")))
+        TwistFamily.from_map(v, d, (RING.parse("x"), RING.parse("y")))
 
 
 def test_lemma2_documented_koszul_formulas():
@@ -415,7 +416,9 @@ def test_slambda_degree_guard_and_family_square():
     assert res.ok
     fam = res.family
     lam = tau.ring.var("lambda")
-    total = fam.total_map()
+    total = ParityMap.zero(fam.module, fam.module, ODD)
+    for k, m in enumerate(fam.coefficients):
+        total = total + m.scale(lam ** k)
     sq = total.compose(total)
     ident = ParityMap.identity(fam.module).scale(lam**tau.r)
     assert sq == ident
@@ -445,6 +448,21 @@ def test_s_xi_build_worked_example():
     s1 = res.sections[res.roots.index(ring.field.one)]
     assert s1.l_part == ring.parse("-xh1")            # e1 - e2 = x - 2x
     assert s1.linv_part == ring.parse("3*xh1")        # e1 + e2
+
+
+def test_s_xi_reduce_on_a_non_isotropic_datum_fails_its_replay():
+    """The product family is built unchecked: a datum that fails ``check()``
+    gives a result whose replay stops at the curvature pass."""
+    good = worked_ramond()
+    ring = good.ring
+    data = dataclasses.replace(good, nu={(1,): (ring.parse("4"),)})
+    assert good.check() and not data.check()
+    res = s_xi_reduce(data)
+    assert not res.ok and not res.replay
+    (curvature,) = res.replay.children
+    assert not curvature and curvature.message.endswith("does not have its recorded curvature")
+    assert not res.verdicts["d1-flat"] and not res.verdicts["d2-flat"]
+    assert not res.verdicts["match-xi1"] and not res.verdicts["homotopy"]
 
 
 def test_s_xi_build_e2_zero_degenerates():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mfcert.complexes import CurvedComplex, SupportLocus, curvature_check
+from mfcert.complexes import CurvedComplex, Filtration, SupportLocus, curvature_check
 from mfcert.constructions import (LambdaFamily, TwistFamily, compose_certs,
                                   lemma1_build, lemma2_build)
 from mfcert.generators import gen_lambda_family, gen_twist_family
@@ -103,7 +103,7 @@ def corrupt_one_move(cert: Certificate, rng: random.Random) -> tuple[Certificate
         j = rng.randrange(len(move.isos))
         pairs = list(move.isos)
         pairs[j] = IsoPair(_corrupt_map(pairs[j].forward, rng), pairs[j].inverse)
-        new_move = FiltrationMove(move.complex, move.steps, move.targets, pairs)
+        new_move = FiltrationMove(move.filtration, move.targets, tuple(pairs))
     else:
         new_move = IsoMove(move.source, move.target,
                            IsoPair(_corrupt_map(move.iso.forward, rng),
@@ -164,7 +164,7 @@ def test_partial_first_step_is_rejected():
     fmove_idx, (coeff, fmove) = next(
         (i, m) for i, m in enumerate(cert.moves)
         if isinstance(m[1], FiltrationMove))
-    truncated = FiltrationMove(fmove.complex, fmove.steps[1:],
+    truncated = FiltrationMove(Filtration(fmove.complex, fmove.steps[1:]),
                                fmove.targets[1:], fmove.isos[1:])
     moves = list(cert.moves)
     moves[fmove_idx] = (coeff, truncated)
@@ -274,8 +274,8 @@ def test_altered_slice_target_fails_the_filtration_move():
     altered = curvature_check(target.module,
                               ParityMap(target.module, target.module, ODD, rows))
     assert altered.curvature == target.curvature
-    moves = [(coeff, FiltrationMove(move.complex, move.steps,
-                                    [altered, *move.targets[1:]], move.isos)),
+    moves = [(coeff, FiltrationMove(move.filtration,
+                                    (altered, *move.targets[1:]), move.isos)),
              *cert.moves[1:]]
     bundle = write_bundle(Certificate(cert.ring, cert.z, cert.claim, moves, {}))
     v = verify(parse_bundle(bundle))
@@ -394,9 +394,9 @@ def test_an_even_homotopy_witness_fails_before_the_homotopy_check():
 def test_a_filtration_move_needs_one_target_and_one_iso_per_step():
     _, fmove = _lemma1_certificate().moves[0]
     assert isinstance(fmove, FiltrationMove) and len(fmove.steps) > 1
-    cx, steps, targets, isos = fmove.complex, fmove.steps, fmove.targets, fmove.isos
-    for short in (FiltrationMove(cx, steps, targets[:-1], isos[:-1]),
-                  FiltrationMove(cx, steps, targets, isos[:-1])):
+    filt, targets, isos = fmove.filtration, fmove.targets, fmove.isos
+    for short in (FiltrationMove(filt, targets[:-1], isos[:-1]),
+                  FiltrationMove(filt, targets, isos[:-1])):
         assert replay_one(short).describe() == ("filtration-move: FAIL one target and "
                                                 "one isomorphism per step required")
 
@@ -404,22 +404,25 @@ def test_a_filtration_move_needs_one_target_and_one_iso_per_step():
 def test_a_filtration_move_whose_first_step_does_not_span_fails():
     _, fmove = _lemma1_certificate().moves[0]
     cx, steps = fmove.complex, fmove.steps
-    for first in ((), steps[0][:-1]):
-        partial = FiltrationMove(cx, (first, *steps[1:]), fmove.targets, fmove.isos)
-        assert replay_one(partial).describe() == \
+    # descending steps whose first is the second step of the move
+    for partial in ((steps[1], *steps[1:]), (steps[1], *[()] * (len(steps) - 1))):
+        move = FiltrationMove(Filtration(cx, partial), fmove.targets, fmove.isos)
+        assert replay_one(move).describe() == \
             "filtration-move: FAIL first filtration step must span the module"
-    assert replay_one(FiltrationMove(cx, (), (), ())).describe() == \
+    assert replay_one(FiltrationMove(Filtration(cx, ()), (), ())).describe() == \
         "filtration-move: FAIL first filtration step must span the module"
 
 
-def test_a_filtration_move_whose_steps_are_no_filtration_fails_as_that_move():
-    # the bundle reader refuses such steps before a move exists, so only a
-    # move built in code reaches this check
+def test_a_filtration_refuses_steps_that_are_no_filtration():
+    # a filtration move holds a checked Filtration, so such steps never reach a replay
     _, fmove = _lemma1_certificate().moves[0]
-    n = fmove.complex.module.total_rank
-    steps = (fmove.steps[0], (n,), *fmove.steps[2:])
-    bad = replay_one(FiltrationMove(fmove.complex, steps, fmove.targets, fmove.isos))
-    assert bad.describe() == f"filtration-move: FAIL filtration step ({n},) out of range"
+    cx, steps = fmove.complex, fmove.steps
+    n = cx.module.total_rank
+    for bad in ((steps[0], (n,), *steps[2:]), (steps[0], (-1,))):
+        with pytest.raises(ShapeError, match=r"filtration step \(-?\d+,\) out of range"):
+            Filtration(cx, bad)
+    with pytest.raises(ShapeError, match="filtration steps must be descending"):
+        Filtration(cx, (steps[1], steps[0]))
 
 
 def test_a_malformed_move_fails_a_certificate_whose_ledger_balances():

@@ -109,7 +109,7 @@ def test_a_repeated_cell_is_one_shared_entry():
     v = SuperModule.free(RING, 3, 3)
     _, m = parse_map(_Reader(ZERO_SPELLINGS), v, v)
     # the same text in any column but the first, where the row prints no space before it
-    spaced = [p for _, _, p in m.nonzero() if p == RING.parse("2*x")]
+    spaced = [p for row in m.rows for _, p in row if p == RING.parse("2*x")]
     assert len(spaced) == 3 and all(p is spaced[0] for p in spaced)
 
 

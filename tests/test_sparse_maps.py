@@ -118,7 +118,7 @@ def test_sparse_kernels_match_dense_reference(case):
     # cancellation: f + (-f), and a product whose terms cancel pairwise
     assert f + (-f) == ParityMap.zero(b, c, pf)
     assert (f - f).is_zero() and not any((f - f).rows)
-    bb, embs = direct_sum_modules([b, b])
+    bb, embs = direct_sum_modules([b, b], ["s0.", "s1."])
     doubled = assemble(c, [list(range(c.total_rank))], bb, embs, pf, {(0, 0): f, (0, 1): f})
     stacked = assemble(bb, embs, a, [list(range(a.total_rank))], pg, {(0, 0): g, (1, 0): -g})
     cancelled = doubled.compose(stacked)
@@ -229,10 +229,10 @@ def test_exponent_at_the_slot_limit_raises():
     ring = RINGS[4]
     limit = 1 << (_SLOT_BITS - 1)
     v = SuperModule.free(ring, 1, 0)
-    below = ParityMap(v, v, EVEN, [[ring.monomial((limit - 1, 0, 1), ring.field.zeta)]])
+    below = ParityMap(v, v, EVEN, [[ring.poly({(limit - 1, 0, 1): ring.field.zeta})]])
     square = below.compose(below)
-    assert square.entries == ((ring.monomial((2 * limit - 2, 0, 2), -1),),)
-    at = ParityMap(v, v, EVEN, [[ring.monomial((0, limit, 0))]])
+    assert square.entries == ((ring.poly({(2 * limit - 2, 0, 2): -1}),),)
+    at = ParityMap(v, v, EVEN, [[ring.poly({(0, limit, 0): 1})]])
     for left, right in ((at, below), (below, at), (square, below)):
         with pytest.raises(OverflowError, match="slot"):
             left.compose(right)
@@ -249,7 +249,7 @@ def test_the_largest_key_sum_stays_in_its_column():
     ring = RINGS[8]
     field = ring.field
     top = (1 << (_SLOT_BITS - 1)) - 1
-    big = ring.monomial((top, top, top), field.zeta ** (field.degree - 1))
+    big = ring.poly({(top, top, top): field.zeta ** (field.degree - 1)})
     u, v = SuperModule.free(ring, 1, 0), SuperModule.free(ring, 3, 0)
     left = [[big]]
     right = [[ring.var("y"), big, ring.parse("x + 1")]]     # column 1 next to column 2

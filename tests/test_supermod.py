@@ -28,8 +28,8 @@ def random_map(rng, source, target, parity):
         row = []
         for j in range(source.total_rank):
             if (target.parity(i) - source.parity(j)) % 2 == parity and rng.random() < 0.7:
-                row.append(RING.monomial((rng.randint(0, 1), rng.randint(0, 1)),
-                                         rng.choice([-2, -1, 1, 2])))
+                row.append(RING.poly({(rng.randint(0, 1), rng.randint(0, 1)):
+                                      rng.choice([-2, -1, 1, 2])}))
             else:
                 row.append(RING.zero)
         entries.append(row)

@@ -10,7 +10,7 @@ with the checks it replaces: three ``residual`` calls per isomorphism, and
 import pytest
 
 from mfcert import kcert
-from mfcert.complexes import (CurvedComplex, Filtration, InvariantError,
+from mfcert.complexes import (CurvedComplex, InvariantError,
                               curvature_check, graded_slice, is_homotopy)
 from mfcert.constructions import (LambdaFamily, TwistFamily, _lambda_coefficients,
                                   lemma1_build, lemma2_build, remark_decompose)
@@ -78,7 +78,7 @@ def certificates():
 
 def slices(move):
     """``(graded slice, target, pair)`` of each step, as the replay builds them."""
-    filt = Filtration(move.complex, move.steps)
+    filt = move.filtration
     curvature = move.complex.curvature
     for j, (target, pair) in enumerate(zip(move.targets, move.isos), start=1):
         sub, d = graded_slice(move.complex, filt, j)
@@ -239,7 +239,7 @@ def test_a_correct_witness_passes_as_is_homotopy_says():
 def test_a_witness_off_at_one_entry_fails_there_as_is_homotopy_says():
     move = _homotopy_move()
     x = move.complex.module.ring.var("x")
-    for i, j, _ in list(move.h.nonzero())[:3]:
+    for i, j in [(i, j) for i, row in enumerate(move.h.rows) for j, _ in row][:3]:
         bad = HomotopyMove(move.complex, _with_entry(move.h, i, j, move.h.entries[i][j] + x))
         got = bad.replay()
         assert got == _reference_homotopy(bad)
@@ -263,7 +263,7 @@ def test_a_witness_on_a_misframed_complex_raises_as_is_homotopy_does():
 
 def reference_coefficients(m: ParityMap, limit: int):
     """A degree check of every entry, then one ``coefficient_in`` pass per degree."""
-    for _, _, p in m.nonzero():
+    for p in (p for row in m.rows for _, p in row):
         if p.degree_in(LAMBDA) >= limit:
             raise InvariantError(
                 f"entry {p} has lambda-degree {p.degree_in(LAMBDA)} >= {limit}")
@@ -278,7 +278,11 @@ def test_lambda_split_matches_one_pass_per_degree(r, size, seed):
     assert all(isinstance(row, tuple) for m in got for row in m.rows)
     fam = LambdaFamily.from_map(inst.module, inst.d_lambda, r)
     assert fam == LambdaFamily(inst.module, tuple(got), r)
-    assert fam.total_map() == inst.d_lambda
+    lam = inst.module.ring.var(LAMBDA)
+    total = ParityMap.zero(inst.module, inst.module, ODD)
+    for k, m in enumerate(fam.coefficients):
+        total = total + m.scale(lam ** k)
+    assert total == inst.d_lambda
 
 
 def test_from_map_refuses_with_the_fixed_messages():
