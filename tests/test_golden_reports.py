@@ -40,6 +40,13 @@ RUNS = [
     ("lemma1", "invalid.txt", [], None),
     ("remark", "remark3.txt", [], "remark3.bundle"),
     ("lemma1", "lambda5.txt", [], "lemma1-r5.bundle"),
+    # failing and message-bearing lines, which the seeded sweep never prints
+    ("check-mf", "nonscalar.txt", [], None),
+    ("exactness", "zero.txt", ["--trials", "5", "--seed", "1", "--zgens", "x"], None),
+    ("exactness", "vacuous.txt", ["--trials", "5", "--seed", "1"], None),
+    ("slambda", "badtau.txt", [], None),
+    ("sxi", "badramond.txt", [], None),
+    ("conelift", "badcone.txt", [], None),
 ]
 
 KOSZUL = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x\n"
@@ -48,6 +55,28 @@ INVALID = ("mfcert instance v1\nkind lambda-family\nfield rationals\n"
            "variables x lambda\nr 2\neven e0\nodd o0\n"
            "begin map d\nparity odd\nblock odd<-even\nrow lambda + x\n"
            "block even<-odd\nrow lambda\nend map\n")
+MF_HEAD = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x y\n"
+           "even e0 e1\nodd o0 o1\nbegin map d\nparity odd\n")
+# d^2 = diag(x, y, x, y): not scalar
+NOT_SCALAR = MF_HEAD + ("block odd<-even\nrow 1, 0\nrow 0, 1\n"
+                        "block even<-odd\nrow x, 0\nrow 0, y\nend map\n")
+# d = 0: not exact off the locus x = 0, and vacuously exact when no locus
+# is given, as the excluded locus is then the whole space
+ZERO_MAP = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x\n"
+            "even e0\nodd o0\nbegin map d\nparity odd\nend map\n")
+
+# instances written as text, and instances edited from a generated one
+TEXTS = {"koszul.txt": KOSZUL, "invalid.txt": INVALID, "nonscalar.txt": NOT_SCALAR,
+         "zero.txt": ZERO_MAP, "vacuous.txt": ZERO_MAP}
+EDITS = {
+    # nu(x^2) gains the mixed term 2*xh1*lambda: the pairing is not lambda^3
+    "badtau.txt": ("tau.txt", "term 0 0 2 :", "term 1 0 1 :"),
+    # one coefficient of nu changes: the twisted sections are not isotropic
+    "badramond.txt": ("ramond.txt", "term 0 2 : -4, 12", "term 0 2 : -4, 13"),
+    # g sends ae0 into the support of f, so f.g is not zero and the witness
+    # h fails (every differential of the file is zero, so h itself cannot)
+    "badcone.txt": ("cone.txt", "row 0, -1\nrow 0, 0\n", "row 0, -1\nrow 1, 0\n"),
+}
 
 EXPECTED = {
     "lambda.txt":
@@ -165,6 +194,31 @@ EXPECTED = {
         "073d996da7fe2f33bd98c5188842bafe6adbc3757297412fabe398f87a685486",
     "verify lemma1-r5.bundle json":
         "0fd4877d4190c53b203cd052b143df153b0cde0ffac703ef66c84a43eb5cfd76",
+    # recorded before the report was printed from one verdict tree
+    "check-mf nonscalar.txt":
+        "c0e9195592e0d66d6b7d121c6099ebff8cf4ba5a283fa2df6bea273e63ada43b",
+    "check-mf nonscalar.txt json":
+        "ac9f9f48d6aa7d8c8c7fd30952b2ef0146cf73443de56b0b8d59cfd68dc1237e",
+    "exactness zero.txt":
+        "a91c79d6afc16c8d0aa91d4924ac6e22ba3d59f083b42fe1bd5b006cca4dbaf3",
+    "exactness zero.txt json":
+        "76f4c8e8f4649fa2c725017fe4d6cd7c5a99ebf92768af371670ca638d21ca18",
+    "exactness vacuous.txt":
+        "5ad65b0b1bff7eb43d0e05a2dda3a5bac8113d371e833dfff750bb4bd0bbd726",
+    "exactness vacuous.txt json":
+        "4cb969a39093985a5d2dbcf701804a40f15069fa4080f5dfac699b15196e004f",
+    "slambda badtau.txt":
+        "317145f1d2cb97fb1f29c98833dd4596484421e37d788a1136f629d1f0610e1e",
+    "slambda badtau.txt json":
+        "e4dc3c0edb17525da82073509c7e81024eb2022016ffb2c0d03a4810e474c3b7",
+    "sxi badramond.txt":
+        "a216a1808f61dda0f0e581d7586708c78a6d9dfb80c451777133b17acf4965f9",
+    "sxi badramond.txt json":
+        "4d5e91a54d912389db44ad2f95792df0132821bcaac8ddf21b5a4944b1b8272d",
+    "conelift badcone.txt":
+        "786ec216649fca50e842764517c88a7534b4e5166cccefdea1a37d573c02231b",
+    "conelift badcone.txt json":
+        "16c2154455316be0fa8f6c842c451c1d1f68b4c26668117b240433b51e7ba457",
 }
 
 
@@ -210,8 +264,12 @@ def corpus() -> dict[str, str]:
     for name, args in GENS.items():
         assert _run(["gen", "--kind", *args, "--out", name]) == b"exit 0\n"
         digests[name] = _sha(Path(name).read_bytes())
-    Path("koszul.txt").write_text(KOSZUL)
-    Path("invalid.txt").write_text(INVALID)
+    for name, text in TEXTS.items():
+        Path(name).write_text(text)
+    for name, (source, old, new) in EDITS.items():
+        text = Path(source).read_text()
+        assert text.count(old) == 1
+        Path(name).write_text(text.replace(old, new))
     bundles = []
     for command, source, extra, bundle in RUNS:
         tag = f"{command} {source}"

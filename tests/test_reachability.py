@@ -25,7 +25,7 @@ from pathlib import Path
 import mfcert
 from mfcert.cli import main
 from output_sweep import sweep
-from test_golden_reports import _corrupt_homotopy_entry
+from test_golden_reports import MF_HEAD, NOT_SCALAR, _corrupt_homotopy_entry
 
 PACKAGE_DIR = Path(mfcert.__file__).resolve().parent
 
@@ -125,11 +125,6 @@ def _mf_total(kind: str, r: str, seed: int) -> str:
     return serialize.write_instance(serialize.MfInstance(result.w.module, result.w.d))
 
 
-MF_HEAD = ("mfcert instance v1\nkind mf\nfield rationals\nvariables x y\n"
-           "even e0 e1\nodd o0 o1\nbegin map d\nparity odd\n")
-# d^2 = diag(x, y, x, y): not scalar
-NOT_SCALAR = MF_HEAD + ("block odd<-even\nrow 1, 0\nrow 0, 1\n"
-                        "block even<-odd\nrow x, 0\nrow 0, y\nend map\n")
 # a cell only the token parser reads
 PARSER_CELL = MF_HEAD + "block odd<-even\nrow (x + 1)^2, 0\nrow 0, 2*(y - x)\nend map\n"
 
