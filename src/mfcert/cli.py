@@ -1,8 +1,13 @@
 """Command-line front end: generate, construct, verify, report.
 
-Exit codes: 0 all checks pass, 1 a verdict or invariant failed, 2 usage or
-parse errors.  Reports are deterministic for a fixed command line and seed;
-``--json-report`` writes a structured mirror of the textual report.
+Exit codes: 0 all checks pass, 1 a verdict or invariant failed, 2 usage,
+parse or write errors.  Each command builds one :class:`Verdict` tree: its
+root is the command, its children are the report lines in order, and a line
+read off a check has that check as its one child.  The text report and
+``--json-report`` are two printers of that tree; the command's config and
+extras (``r``, ``curvature``, ``bundle``, ...) are key/value pairs printed
+beside it, not verdicts.  Reports are deterministic for a fixed command line
+and seed.
 
 The commands live in one table, ``COMMANDS``.  A call that names a command
 builds only that command's parser.  ``--help``, a missing or unknown
@@ -17,8 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-from .complexes import (CurvatureError, InvariantError, SupportLocus,
-                        curvature_check)
+from .complexes import (CurvatureError, InvariantError, SupportLocus, Verdict,
+                        curvature_check, report_line)
 from .kcert import verify as kcert_verify
 from .polynomials import ParseError
 from .scalars import FieldError, ScalarField, cyclotomic_field
@@ -31,38 +36,25 @@ from .supermod import ShapeError
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-class Report:
-    """Accumulates check lines and their JSON mirror."""
+def _render(root: Verdict, config: dict, extra: dict) -> str:
+    """The text report of a command's verdict tree: one ``check`` line per
+    child, its message in parentheses when it has one."""
+    lines = [f"command: {root.kind}"]
+    lines += [f"{key}: {value}" for key, value in config.items()]
+    for line in root.children:
+        detail = f" ({line.message})" if line.message else ""
+        lines.append(f"check {line.kind}: {'pass' if line else 'FAIL'}{detail}")
+    lines += [f"{key}: {value}" for key, value in extra.items()]
+    lines.append(f"result: {'PASS' if root else 'FAIL'}")
+    return "\n".join(lines)
 
-    def __init__(self, command: str, config: dict):
-        self.command = command
-        self.config = config
-        self.checks: list[dict] = []
-        self.extra: dict = {}
 
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    @property
-    def ok(self) -> bool:
-        return all(c["ok"] for c in self.checks)
-
-    def render(self) -> str:
-        lines = [f"command: {self.command}"]
-        for key, value in self.config.items():
-            lines.append(f"{key}: {value}")
-        for c in self.checks:
-            status = "pass" if c["ok"] else "FAIL"
-            detail = f" ({c['detail']})" if c["detail"] else ""
-            lines.append(f"check {c['name']}: {status}{detail}")
-        for key, value in self.extra.items():
-            lines.append(f"{key}: {value}")
-        lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "config": self.config,
-                "checks": self.checks, **self.extra, "ok": self.ok}
+def _to_json(root: Verdict, config: dict, extra: dict) -> dict:
+    """The JSON report of the same tree, one ``checks`` entry per child."""
+    checks = [{"name": line.kind, "ok": line.ok, "detail": line.message}
+              for line in root.children]
+    return {"command": root.kind, "config": config, "checks": checks, **extra,
+            "ok": root.ok}
 
 
 def _parse_field_flag(spec: str) -> ScalarField:
@@ -105,31 +97,42 @@ def _zlocus(instance_ring, text: str | None) -> SupportLocus:
     return SupportLocus(gens)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
-    return parse_instance(text)
 
 
-def _emit(report: Report, args) -> int:
-    print(report.render())
-    if getattr(args, "json_report", None):
-        Path(args.json_report).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    return PASS if report.ok else FAIL
+def _load(path: str):
+    return parse_instance(_read(path))
 
 
-def _write_bundle(cert, args, report: Report):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(write_bundle(cert))
-        report.extra["bundle"] = args.out
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from None
 
 
-def _verdict_checks(report: Report, verdicts: dict):
-    for name, v in verdicts.items():
-        report.add(name, bool(v), "" if v else v.describe())
+def _emit(args, config: dict, lines, extra: dict | None = None) -> int:
+    """Print the verdict tree whose root is the command and whose children
+    are ``lines``, and write its JSON report when asked."""
+    root = Verdict(all(lines), args.command, children=tuple(lines))
+    extra = extra or {}
+    print(_render(root, config, extra))
+    if args.json_report:
+        _write(args.json_report,
+               json.dumps(_to_json(root, config, extra), indent=2, sort_keys=True) + "\n")
+    return PASS if root else FAIL
+
+
+def _write_bundle(cert, args) -> dict:
+    """Write the bundle when ``--out`` names a file; the extras that say so."""
+    if not args.out:
+        return {}
+    _write(args.out, write_bundle(cert))
+    return {"bundle": args.out}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def cmd_gen(args) -> int:
     instance = builders[args.kind]()
     text = write_instance(instance)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return PASS
@@ -170,7 +173,6 @@ def cmd_gen(args) -> int:
 
 def cmd_check_mf(args) -> int:
     instance = _load(args.input)
-    report = Report("check-mf", {"input": args.input})
     if isinstance(instance, (MfInstance, TwistInstance)):
         module, d = instance.module, instance.d
     elif isinstance(instance, (LambdaInstance, RemarkInstance)):
@@ -179,12 +181,12 @@ def cmd_check_mf(args) -> int:
         raise FileFormatError("check-mf needs an instance with a module and a map")
     try:
         c = curvature_check(module, d)
-        report.add("square-is-scalar", True)
-        report.extra["curvature"] = str(c.curvature)
     except CurvatureError as exc:
-        report.add("square-is-scalar", False,
-                   f"{exc} " + (f"entry {exc.entry}" if exc.entry else ""))
-    return _emit(report, args)
+        detail = f"{exc} " + (f"entry {exc.entry}" if exc.entry else "")
+        return _emit(args, {"input": args.input},
+                     [Verdict(False, "square-is-scalar", detail)])
+    return _emit(args, {"input": args.input},
+                 [Verdict(True, "square-is-scalar")], {"curvature": str(c.curvature)})
 
 
 def cmd_lemma1(args) -> int:
@@ -192,17 +194,15 @@ def cmd_lemma1(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, LambdaInstance):
         raise FileFormatError("lemma1 needs a lambda-family instance")
-    report = Report("lemma1", {"input": args.input, "r": instance.r})
+    config = {"input": args.input, "r": instance.r}
     try:
         family = LambdaFamily.from_map(instance.module, instance.d_lambda, instance.r)
     except InvariantError as exc:
-        report.add("family-invariant", False, str(exc))
-        return _emit(report, args)
-    report.add("family-invariant", True)
+        return _emit(args, config, [Verdict(False, "family-invariant", str(exc))])
     result = lemma1_build(family, _zlocus(instance.module.ring, args.zgens))
-    _verdict_checks(report, result.verdicts)
-    _write_bundle(result.certificate, args, report)
-    return _emit(report, args)
+    # lemma1 reports no certificate-replay line
+    return _emit(args, config, [Verdict(True, "family-invariant"), *result.lines[:-1]],
+                 _write_bundle(result.certificate, args))
 
 
 def cmd_lemma2(args) -> int:
@@ -210,18 +210,14 @@ def cmd_lemma2(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, TwistInstance):
         raise FileFormatError("lemma2 needs a twist-family instance")
-    report = Report("lemma2", {"input": args.input, "r": len(instance.functions)})
+    config = {"input": args.input, "r": len(instance.functions)}
     try:
         family = TwistFamily.from_map(instance.module, instance.d, instance.functions)
     except InvariantError as exc:
-        report.add("family-invariant", False, str(exc))
-        return _emit(report, args)
-    report.add("family-invariant", True)
+        return _emit(args, config, [Verdict(False, "family-invariant", str(exc))])
     result = lemma2_build(family, _zlocus(instance.module.ring, args.zgens))
-    _verdict_checks(report, result.verdicts)
-    report.add("certificate-replay", bool(result.replay))
-    _write_bundle(result.certificate, args, report)
-    return _emit(report, args)
+    return _emit(args, config, [Verdict(True, "family-invariant"), *result.lines],
+                 _write_bundle(result.certificate, args))
 
 
 def cmd_remark(args) -> int:
@@ -229,19 +225,15 @@ def cmd_remark(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, RemarkInstance):
         raise FileFormatError("remark needs a remark-family instance")
-    report = Report("remark", {"input": args.input,
-                               "target": str(instance.target)})
+    config = {"input": args.input, "target": str(instance.target)}
     try:
         result = remark_decompose(instance.module, instance.d_lambda,
                                   instance.target, list(instance.roots),
                                   _zlocus(instance.module.ring, args.zgens))
     except InvariantError as exc:
-        report.add("family-invariant", False, str(exc))
-        return _emit(report, args)
-    _verdict_checks(report, result.verdicts)
-    report.add("certificate-replay", bool(result.replay))
-    _write_bundle(result.certificate, args, report)
-    return _emit(report, args)
+        # remark prints its family-invariant line only when it fails
+        return _emit(args, config, [Verdict(False, "family-invariant", str(exc))])
+    return _emit(args, config, result.lines, _write_bundle(result.certificate, args))
 
 
 def cmd_slambda(args) -> int:
@@ -249,15 +241,14 @@ def cmd_slambda(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, TauData):
         raise FileFormatError("slambda needs a tau-data instance")
-    report = Report("slambda", {"input": args.input, "r": instance.r})
     result = s_lambda_check(instance)
-    _verdict_checks(report, {"zero-composition": result.composition,
-                             "square-is-lambda^r": result.verdict})
+    lines, extra = list(result.lines), {}
     if result.family is not None:
         chained = lemma1_build(result.family, _zlocus(instance.ring, args.zgens))
-        report.add("induced-family-chain", chained.ok)
-        _write_bundle(chained.certificate, args, report)
-    return _emit(report, args)
+        lines.append(Verdict(all(chained.lines), "induced-family-chain",
+                             children=chained.lines))
+        extra = _write_bundle(chained.certificate, args)
+    return _emit(args, {"input": args.input, "r": instance.r}, lines, extra)
 
 
 def cmd_sxi(args) -> int:
@@ -265,16 +256,13 @@ def cmd_sxi(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, RamondData):
         raise FileFormatError("sxi needs a ramond-data instance")
-    report = Report("sxi", {"input": args.input, "r": instance.r})
-    inv = instance.check()
-    report.add("twist-isotropy", bool(inv), "" if inv else inv.describe())
-    if not inv:
-        return _emit(report, args)
+    config = {"input": args.input, "r": instance.r}
+    isotropy = report_line("twist-isotropy", instance.check())
+    if not isotropy:
+        return _emit(args, config, [isotropy])
     result = s_xi_reduce(instance, _zlocus(instance.ring, args.zgens))
-    _verdict_checks(report, result.verdicts)
-    report.add("certificate-replay", bool(result.replay))
-    _write_bundle(result.certificate, args, report)
-    return _emit(report, args)
+    return _emit(args, config, [isotropy, *result.lines],
+                 _write_bundle(result.certificate, args))
 
 
 def cmd_conelift(args) -> int:
@@ -282,29 +270,24 @@ def cmd_conelift(args) -> int:
     instance = _load(args.input)
     if not isinstance(instance, ConeLiftInstance):
         raise FileFormatError("conelift needs a cone-lift instance")
-    report = Report("conelift", {"input": args.input})
     result = cone_lift_check(ChainMap(instance.a, instance.b, instance.g),
                              ChainMap(instance.b, instance.c, instance.f), instance.h)
-    _verdict_checks(report, result.verdicts)
-    return _emit(report, args)
+    return _emit(args, {"input": args.input}, result.lines)
 
 
 def cmd_verify(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {args.input}: {exc}") from None
-    cert = parse_bundle(text)
+    cert = parse_bundle(_read(args.input))
     verdict = kcert_verify(cert)
-    report = Report("verify", {"input": args.input})
     # children: the curvature pass, each move, the ledger; a curvature pass
-    # that stops the replay is the only child, and fails the ledger line
-    _verdict_checks(report, {f"move-{idx}": v
-                             for idx, v in enumerate(verdict.children[1:-1])})
-    report.add("ledger", verdict.children[-1].ok, verdict.message)
+    # that stops the replay is the only child, and fails the ledger line,
+    # whose message is the certificate's on pass and on fail
+    last = verdict.children[-1]
+    lines = [report_line(f"move-{idx}", v) for idx, v in enumerate(verdict.children[1:-1])]
+    lines.append(Verdict(last.ok, "ledger", verdict.message, children=(last,)))
+    extra = {}
     if verdict.children[0] and (assumed := cert.assumed_exact()):
-        report.extra["assumed-exact"] = ", ".join(assumed)
-    return _emit(report, args)
+        extra["assumed-exact"] = ", ".join(assumed)
+    return _emit(args, {"input": args.input}, lines, extra)
 
 
 def cmd_exactness(args) -> int:
@@ -315,16 +298,16 @@ def cmd_exactness(args) -> int:
     else:
         raise FileFormatError("exactness needs an mf or twist-family instance")
     complex_ = curvature_check(module, d)
-    report = Report("exactness", {"input": args.input, "seed": args.seed,
-                                  "trials": args.trials})
+    config = {"input": args.input, "seed": args.seed, "trials": args.trials}
     z = _zlocus(module.ring, args.zgens)
     try:
         sample = strict_exactness_sample(complex_, z, args.trials, args.seed)
-        report.add("fiberwise-exactness", sample.ok, sample.message)
-        report.extra["points"] = len(sample.points)
     except SampleError as exc:
-        report.add("fiberwise-exactness", False, str(exc))
-    return _emit(report, args)
+        return _emit(args, config, [Verdict(False, "fiberwise-exactness", str(exc))])
+    # the sample's message prints on a passing line too
+    return _emit(args, config,
+                 [Verdict(sample.ok, "fiberwise-exactness", sample.message)],
+                 {"points": len(sample.points)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A curved complex is a module with an odd endomorphism d whose square is a
 scalar polynomial times the identity (the curvature); curvature zero means a
 genuine complex.  Identity checks return :class:`Verdict` values carrying the
 first failing entry and its residual, so a false identity is data rather than
-an exception.
+an exception.  A command's report is a verdict tree too: its root is the
+command, and each child is a line that :func:`report_line` reads off a check.
 
 This module holds what the certificate replay runs.  Mapping cones live in
 :mod:`mfcert.constructions`, their one user, and the exactness sampler in
@@ -47,7 +48,8 @@ class Verdict:
     message: str = ""
     location: tuple[int, int] | None = None
     residual: Poly | None = None
-    # the checks this verdict was read from, in order; the first failing one ends them
+    # the checks this verdict was read from, in order; in a replay the first
+    # failing one ends them
     children: tuple["Verdict", ...] = ()
 
     def __bool__(self) -> bool:
@@ -59,6 +61,12 @@ class Verdict:
         where = f" at entry {self.location}" if self.location else ""
         res = f", residual {self.residual}" if self.residual is not None else ""
         return f"{self.kind}: FAIL{where}{res} {self.message}".rstrip()
+
+
+def report_line(kind: str, check: Verdict) -> Verdict:
+    """The report line ``kind`` read off ``check``, its one child; a failing
+    line's message is the check's description, naming its entry and residual."""
+    return Verdict(check.ok, kind, "" if check else check.describe(), children=(check,))
 
 
 @dataclass(frozen=True)

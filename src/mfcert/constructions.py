@@ -27,7 +27,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import factorial, prod
 
@@ -35,7 +35,7 @@ from .clifford import (OrthoSection, SpinorModule, clifford_action,
                        spinor_module, spinor_split)
 from .complexes import (CurvatureError, CurvedComplex, Filtration,
                         InvariantError, SupportLocus, Verdict, curvature_check,
-                        homotopy_verdict, is_homotopy, slice_basis)
+                        homotopy_verdict, is_homotopy, report_line, slice_basis)
 from .kcert import (Certificate, FiltrationMove, HomotopyMove,
                     IsoMove, IsoPair, verify)
 from .polynomials import LAMBDA, ContextError, Poly, PolyRing
@@ -123,7 +123,7 @@ class TotalResult:
 
     The builders only construct: each complex carries the curvature its lemma
     states, and the one replay of the certificate checks every identity.
-    :meth:`read` fills in ``replay`` and the report lines ``verdicts``.
+    :meth:`read` fills in ``lines``, the report lines read off that replay.
     """
 
     w: CurvedComplex
@@ -131,41 +131,43 @@ class TotalResult:
     targets: list[CurvedComplex]
     homotopy: HomotopyMove
     certificate: Certificate
-    replay: Verdict | None = None
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
+    lines: tuple[Verdict, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return bool(self.replay) and all(self.verdicts.values())
+        return all(self.lines)
 
     def read(self, flat: dict[str, CurvedComplex], cert: Certificate | None = None,
              at: int = 0) -> "TotalResult":
-        """Replay ``cert`` (by default ``certificate``) and read the lines off
-        it: one per complex in ``flat`` from the curvature pass, ``filtration``
-        and ``gr1``... from the filtration move at index ``at``, and
-        ``homotopy`` from the move after it."""
+        """Replay ``cert`` (by default ``certificate``) and read the report
+        lines off it: one per complex in ``flat`` from the curvature pass,
+        ``filtration`` and ``gr1``... from the filtration move at index
+        ``at``, ``homotopy`` from the move after it, and last
+        ``certificate-replay``, whose one child is the replay."""
         cert = cert or self.certificate
         replay = verify(cert)
         # the curvature pass has one child per complex of the replayed certificate
         curvature = dict(zip((c.digest() for c in cert.all_complexes()),
                              replay.children[0].children))
-        lines = {name: curvature[c.digest()] for name, c in flat.items()}
+        lines = [report_line(name, curvature[c.digest()]) for name, c in flat.items()]
         moves = replay.children[1:-1]
         parts = (moves[at].children or (moves[at],)) if moves else ()
         slices = [f"gr{j}" for j in range(1, len(self.targets) + 1)]
-        for k, name in enumerate(["filtration", *slices]):
-            lines[name] = _reached(replay, parts, k, name)
-        lines["homotopy"] = _reached(replay, moves, at + 1, "homotopy")
-        self.replay, self.verdicts = replay, lines
+        lines += [_reached(replay, parts, k, name)
+                  for k, name in enumerate(["filtration", *slices])]
+        lines.append(_reached(replay, moves, at + 1, "homotopy"))
+        lines.append(Verdict(replay.ok, "certificate-replay", children=(replay,)))
+        self.lines = tuple(lines)
         return self
 
 
 def _reached(replay: Verdict, verdicts, k: int, name: str) -> Verdict:
-    """``verdicts[k]`` of the replay, or FAIL when the replay stopped before it."""
+    """The line ``name`` read off ``verdicts[k]`` of the replay, or FAIL when
+    the replay stopped before it."""
     if k < len(verdicts):
-        return verdicts[k]
+        return report_line(name, verdicts[k])
     why = "an earlier check of its move failed" if replay.children[0] else replay.message
-    return Verdict(False, name, message=f"not replayed: {why}")
+    return report_line(name, Verdict(False, name, message=f"not replayed: {why}"))
 
 
 def _identity_between(source: SuperModule, target: SuperModule) -> ParityMap:
@@ -552,30 +554,26 @@ def apply_sym_tensor(nu: dict[tuple[int, ...], tuple[Poly, ...]],
 
 @dataclass
 class SLambdaResult:
-    section: OrthoSection
+    """The two report lines, the section at lambda = 0 on its spinor module,
+    and the induced family when the square is lambda^r."""
+
+    lines: tuple[Verdict, Verdict]
     section_at_zero: OrthoSection
     spinor: SpinorModule
-    composition: Verdict
-    verdict: Verdict
-    square: Poly
     family: LambdaFamily | None
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.verdict)
 
 
 def s_lambda_check(tau: TauData) -> SLambdaResult:
     """Form the deformed section and read both of its identities off one pairing.
 
     The pairing q = <nu((x + lambda 1)^{r-1}), dtilde(x + lambda 1)> is
-    computed once: ``composition`` is the zero-composition condition and
-    ``verdict`` is q = lambda^r.  Only when q = lambda^r is the Clifford action
-    built, once, as the family d(lambda); the square check of
-    :class:`LambdaFamily` is then the one map-level check, since
-    action^2 = q * id is the identity action^2 = lambda^r * id.  The action's
-    entries have lambda-degree at most r - 1, as the datum's entries are
-    lambda-free.
+    computed once, and both report lines are read off it: the
+    ``zero-composition`` condition and ``square-is-lambda^r``, q = lambda^r.
+    Only when q = lambda^r is the Clifford action built, once, as the family
+    d(lambda); the square check of :class:`LambdaFamily` is then the one
+    map-level check, since action^2 = q * id is the identity
+    action^2 = lambda^r * id.  The action's entries have lambda-degree at
+    most r - 1, as the datum's entries are lambda-free.
     """
     ring = tau.ring
     section = tau.section()
@@ -591,8 +589,9 @@ def s_lambda_check(tau: TauData) -> SLambdaResult:
     if verdict:
         family = LambdaFamily.from_map(spinor.module, clifford_action(section, spinor),
                                        tau.r)
-    return SLambdaResult(section, at_zero, spinor, _zero_composition(q, tau.r),
-                         verdict, q, family)
+    lines = (report_line("zero-composition", _zero_composition(q, tau.r)),
+             report_line("square-is-lambda^r", verdict))
+    return SLambdaResult(lines, at_zero, spinor, family)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +645,7 @@ def cyclotomic_coupling(ring: PolyRing, e1: Poly, e2: Poly, r: int,
 @dataclass
 class SXiReduceResult:
     """``lemma2`` holds the product-family construction, its lines read off
-    the one replay of the combined ``certificate``; ``verdicts`` holds the
+    the one replay of the combined ``certificate``; ``lines`` holds the
     coupling, product and match lines, then the lemma2 lines."""
 
     roots: list[Scalar]
@@ -654,12 +653,7 @@ class SXiReduceResult:
     lemma2: TotalResult
     sections: list[OrthoSection]
     certificate: Certificate
-    replay: Verdict
-    verdicts: dict[str, Verdict]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.replay) and all(self.verdicts.values())
+    lines: tuple[Verdict, ...]
 
 
 def compose_certs(c1: Certificate, c2: Certificate) -> Certificate:
@@ -709,17 +703,18 @@ def s_xi_reduce(data: RamondData,
     f_list = [e1 - e2 * ring.const(xi) for xi in roots]
     s0 = data.section()
 
-    verdicts: dict[str, Verdict] = {}
+    lines = []
     sections = []
     for i, xi in enumerate(roots):
         others = prod((f for j, f in enumerate(f_list) if j != i), start=ring.one)
         coupling = cyclotomic_coupling(ring, e1, e2, r, xi)
-        verdicts[f"coupling-xi{i + 1}"] = _vanishes(f"coupling-xi{i + 1}", others - coupling)
+        name = f"coupling-xi{i + 1}"
+        lines.append(report_line(name, _vanishes(name, others - coupling)))
         sections.append(OrthoSection(ring, s0.vector_part, s0.covector_part,
                                      f_list[i], coupling))
     total = prod(f_list, start=ring.one)
-    verdicts["product-of-twists"] = _vanishes("product-of-twists",
-                                              total - (e1**r - e2**r))
+    lines.append(report_line("product-of-twists", _vanishes(
+        "product-of-twists", total - (e1**r - e2**r))))
 
     plain = spinor_module(ring, data.c1_rank)
     twist = TwistFamily(plain.module, clifford_action(s0, plain), tuple(f_list))
@@ -746,13 +741,12 @@ def s_xi_reduce(data: RamondData,
                 [(-1, dc) for dc in differentials]
     combined = compose_certs(Certificate(ring, z, iso_claim, iso_moves, names),
                              lemma2.certificate)
-    replay = lemma2.read(_lemma2_flat(lemma2), combined, at=r).replay
+    (replay,) = lemma2.read(_lemma2_flat(lemma2), combined, at=r).lines[-1].children
     # the iso move for xi_i proves the transported action equals d_i
     moves = replay.children[1:-1]
-    for i in range(r):
-        verdicts[f"match-xi{i + 1}"] = _reached(replay, moves, i, f"match-xi{i + 1}")
-    verdicts.update(lemma2.verdicts)
-    return SXiReduceResult(roots, f_list, lemma2, sections, combined, replay, verdicts)
+    lines += [_reached(replay, moves, i, f"match-xi{i + 1}") for i in range(r)]
+    return SXiReduceResult(roots, f_list, lemma2, sections, combined,
+                           (*lines, *lemma2.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +816,11 @@ def cone(f: ChainMap) -> Cone:
 @dataclass
 class ConeLiftResult:
     """The cone of g and the lift of f along it, both None unless every
-    precondition line passes; ``verdicts`` holds the report lines."""
+    precondition line passes; ``lines`` holds the report lines."""
 
     cone: Cone | None
     lift: ChainMap | None
-    verdicts: dict[str, Verdict]
+    lines: tuple[Verdict, ...]
 
 
 def cone_lift_check(g: ChainMap, f: ChainMap, h: ParityMap) -> ConeLiftResult:
@@ -843,21 +837,20 @@ def cone_lift_check(g: ChainMap, f: ChainMap, h: ParityMap) -> ConeLiftResult:
     if g.target is not f.source and g.target != f.source:
         raise ShapeError("maps do not compose: g must land in the source of f")
     a, c = g.source, f.target
-    verdicts = {"g-chain-map": is_chain_map(g), "f-chain-map": is_chain_map(f),
-                "homotopy-witness": is_homotopy(
-                    a, c, h, f.map.compose(g.map),
-                    ParityMap.zero(a.module, c.module, EVEN))}
-    if not all(verdicts.values()):
-        return ConeLiftResult(None, None, verdicts)
+    lines = (report_line("g-chain-map", is_chain_map(g)),
+             report_line("f-chain-map", is_chain_map(f)),
+             report_line("homotopy-witness", is_homotopy(
+                 a, c, h, f.map.compose(g.map), ParityMap.zero(a.module, c.module, EVEN))))
+    if not all(lines):
+        return ConeLiftResult(None, None, lines)
     cn = cone(g)
     _, embs = direct_sum_modules([f.source.module, a.module.shifted()], ["b.", "a."])
     h_shift = h.compose(parity_unit(a.module))   # A[1] -> C, even
     lift = ChainMap(cn.complex, c, assemble(
         c.module, [list(range(c.module.total_rank))], cn.complex.module, embs, EVEN,
         {(0, 0): f.map, (0, 1): h_shift}))
-    verdicts["restriction-equals-f"] = Verdict(
-        lift.map.compose(cn.inclusion.map) == f.map, "restriction-equals-f")
-    return ConeLiftResult(cn, lift, verdicts)
+    restriction = Verdict(lift.map.compose(cn.inclusion.map) == f.map, "restriction-equals-f")
+    return ConeLiftResult(cn, lift, (*lines, report_line("restriction-equals-f", restriction)))
 
 
 def cone_lift(g: ChainMap, f: ChainMap, h: ParityMap) -> ChainMap:
@@ -868,7 +861,7 @@ def cone_lift(g: ChainMap, f: ChainMap, h: ParityMap) -> ChainMap:
     fails, such as a bad witness or a g that is not a chain map.
     """
     result = cone_lift_check(g, f, h)
-    for v in result.verdicts.values():
-        if not v:
-            raise InvariantError(f"cone lift precondition fails: {v.describe()}")
+    for line in result.lines:
+        if not line:   # a failing line's message is its check's description
+            raise InvariantError(f"cone lift precondition fails: {line.message}")
     return result.lift

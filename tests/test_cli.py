@@ -100,6 +100,19 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["check-mf", "/nonexistent/file.txt"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["gen --out", "lemma1 --out", "lemma1 --json-report"])
+def test_a_write_that_fails_exits_2_with_its_path(flag, tmp_path, capsys):
+    inst = tmp_path / "lam.txt"
+    assert run(["gen", "--kind", "lambda-family", "--r", "3", "--out", inst]) == 0
+    command, option = flag.split()
+    target = tmp_path / "missing" / "x.txt"
+    argv = ["gen", "--kind", "lambda-family"] if command == "gen" else [command, inst]
+    assert run([*argv, option, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_lemma2_writes_replayable_bundle(twist_file, tmp_path, capsys):
     bundle = tmp_path / "bundle.txt"
     report = tmp_path / "report.json"

@@ -75,7 +75,7 @@ def test_lemma1_empty_module():
 @pytest.mark.parametrize("r", [2, 3])
 def test_lemma1_documented_family(r):
     res = lemma1_build(lambda_family_documented(r))
-    assert res.ok, {k: v.describe() for k, v in res.verdicts.items()}
+    assert res.ok, [line.message for line in res.lines if not line]
     assert res.w.module.total_rank == 4 * r
     assert len(res.filtration.steps) == r
     assert verify(res.certificate)
@@ -380,8 +380,9 @@ def test_tau_documented_instance_passes():
     tau = documented_tau()
     assert tau.check()
     res = s_lambda_check(tau)
-    assert res.ok
-    assert res.square == tau.ring.parse("lambda^3")
+    # the pairing is lambda^3 exactly: both lines pass
+    assert [(line.kind, line.ok) for line in res.lines] == \
+        [("zero-composition", True), ("square-is-lambda^r", True)]
     assert res.section_at_zero.pairing().is_zero()
     assert res.family is not None
     chained = lemma1_build(res.family)
@@ -397,9 +398,10 @@ def test_tau_perturbation_fails_with_residual():
     bad = TauData(ring, tau.r, tau.coords, 1, tau.dtilde, nu)
     assert not bad.check()
     res = s_lambda_check(bad)
-    assert not res.ok
+    _, square = res.lines
+    assert not square
     # hand expansion oracle: the stray term is binom(2,1) xh1 lambda^2
-    assert res.verdict.residual == ring.parse("2*xh1*lambda^2")
+    assert square.children[0].residual == ring.parse("2*xh1*lambda^2")
     assert res.family is None
 
 
@@ -413,7 +415,7 @@ def test_tau_entries_must_avoid_coordinates():
 def test_slambda_degree_guard_and_family_square():
     tau = gen_tau_data(3, 2, 77)
     res = s_lambda_check(tau)
-    assert res.ok
+    assert all(res.lines)
     fam = res.family
     lam = tau.ring.var("lambda")
     total = ParityMap.zero(fam.module, fam.module, ODD)
@@ -458,11 +460,13 @@ def test_s_xi_reduce_on_a_non_isotropic_datum_fails_its_replay():
     data = dataclasses.replace(good, nu={(1,): (ring.parse("4"),)})
     assert good.check() and not data.check()
     res = s_xi_reduce(data)
-    assert not res.ok and not res.replay
-    (curvature,) = res.replay.children
+    lines = {line.kind: line for line in res.lines}
+    (replay,) = lines["certificate-replay"].children
+    assert not replay
+    (curvature,) = replay.children
     assert not curvature and curvature.message.endswith("does not have its recorded curvature")
-    assert not res.verdicts["d1-flat"] and not res.verdicts["d2-flat"]
-    assert not res.verdicts["match-xi1"] and not res.verdicts["homotopy"]
+    assert not lines["d1-flat"] and not lines["d2-flat"]
+    assert not lines["match-xi1"] and not lines["homotopy"]
 
 
 def test_s_xi_build_e2_zero_degenerates():
@@ -473,7 +477,7 @@ def test_s_xi_build_e2_zero_degenerates():
                       (one,), (z,))
     assert data.check()
     res = s_xi_reduce(data)
-    assert res.ok
+    assert all(res.lines)
     for s in res.sections:
         assert s.linv_part == ring.parse("xh1^2")  # only the e1^{r-1} term survives
 
@@ -497,9 +501,10 @@ def test_cyclotomic_coupling_symbolic_r3():
 def test_s_xi_reduce_worked_example():
     data = worked_ramond()
     res = s_xi_reduce(data)
-    assert res.ok
+    assert all(res.lines)
     assert [str(f) for f in res.f_list] == ["-xh1", "3*xh1"]
-    assert res.verdicts["match-xi1"] and res.verdicts["match-xi2"]
+    lines = {line.kind: line for line in res.lines}
+    assert lines["match-xi1"] and lines["match-xi2"]
     assert verify(res.certificate)
     # the composed claim is about the twisted spinor complexes only
     names = [res.certificate.name_of(c) for _, c in res.certificate.claim]
@@ -510,7 +515,7 @@ def test_s_xi_reduce_worked_example():
 def test_s_xi_reduce_generated(r, size, seed):
     data = gen_ramond_data(r, size, seed)
     res = s_xi_reduce(data)
-    assert res.ok
+    assert all(res.lines)
     assert verify(res.certificate)
 
 

@@ -15,6 +15,7 @@ is not source of the package and is not counted.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -42,6 +43,7 @@ KEPT = {
     "polynomials.Poly.evaluate": f"{PERFBENCH}: kernels.poly_mul_us checks its product",
     "supermod.ParityMap.entries": f"{PERFBENCH}: workloads.size_counters, spans.compose_counts",
     "scalars.rationals": f"{PERFBENCH}: kernels.poly_mul_us builds its ring",
+    "constructions.TotalResult.ok": f"{PERFBENCH}: workloads.build_total",
     "scalars.ScalarField.zero": f"{PERFBENCH}: kernels.scalar_muladd_us",
     "scalars.Scalar.__add__": f"{PERFBENCH}: kernels.scalar_muladd_us",
     "scalars.Scalar.__eq__": f"{PERFBENCH}: kernels.scalar_muladd_us checks its sums",
@@ -56,8 +58,6 @@ KEPT = {
     "clifford.clifford_square": "tests/test_acceptance.py: criterion 3, the square law",
     "constructions.cone_lift": "tests/test_acceptance.py: criterion 7, the cone-lift suite",
     "complexes.CurvedComplex.ring": "tests/test_acceptance.py: criterion 9",
-    "constructions.SLambdaResult.ok": "tests/test_acceptance.py: criterion 5",
-    "constructions.SXiReduceResult.ok": "tests/test_acceptance.py: criterion 6",
     "supermod.ParityMap.__sub__": "tests/test_acceptance.py: criterion 7",
     # the sampler's fallback, which generated complexes never need
     "exactness._bareiss_rank": "tests/test_exactness.py: the rank fallback of the sampler",
@@ -189,13 +189,26 @@ def test_every_function_is_entered_or_kept(tmp_path, monkeypatch):
 
 
 def test_deleted_names_stay_gone():
-    from mfcert import clifford, constructions, exactness, polynomials, scalars, supermod
+    from mfcert import cli, clifford, constructions, exactness, polynomials, scalars, supermod
     gone = [(clifford.OrthoSection, "__add__"), (constructions.LambdaFamily, "total_map"),
             (polynomials.PolyRing, "monomial"), (polynomials.Poly, "constant_value"),
             (polynomials.Poly, "__rsub__"), (scalars.ScalarField, "kind"),
             (scalars.Scalar, "as_fraction"), (scalars.Scalar, "__rsub__"),
             (scalars.Scalar, "__truediv__"), (scalars.Scalar, "__rtruediv__"),
-            (supermod.ParityMap, "nonzero"), (exactness.SampleReport, "__bool__")]
+            (supermod.ParityMap, "nonzero"), (exactness.SampleReport, "__bool__"),
+            (constructions.SLambdaResult, "ok"), (constructions.SXiReduceResult, "ok")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []
+    # one verdict tree from command to report: no second report or verdict shape
+    assert [name for name in ("Report", "_verdict_checks") if hasattr(cli, name)] == []
+    gone_fields = [(constructions.TotalResult, "verdicts"), (constructions.TotalResult, "replay"),
+                   (constructions.SXiReduceResult, "verdicts"),
+                   (constructions.SXiReduceResult, "replay"),
+                   (constructions.ConeLiftResult, "verdicts"),
+                   (constructions.SLambdaResult, "composition"),
+                   (constructions.SLambdaResult, "verdict"),
+                   (constructions.SLambdaResult, "square"),
+                   (constructions.SLambdaResult, "section")]
+    assert [f"{cls.__name__}.{name}" for cls, name in gone_fields
+            if name in {f.name for f in dataclasses.fields(cls)}] == []
     prefixes = inspect.signature(supermod.direct_sum_modules).parameters["prefixes"]
     assert prefixes.default is inspect.Parameter.empty
