@@ -39,14 +39,14 @@ PASS, FAIL, USAGE = 0, 1, 2
 def _render(root: Verdict, config: dict, extra: dict) -> str:
     """The text report of a command's verdict tree: one ``check`` line per
     child, its message in parentheses when it has one."""
-    lines = [f"command: {root.kind}"]
-    lines += [f"{key}: {value}" for key, value in config.items()]
+    out = [f"command: {root.kind}"]
+    out += [f"{key}: {value}" for key, value in config.items()]
     for line in root.children:
         detail = f" ({line.message})" if line.message else ""
-        lines.append(f"check {line.kind}: {'pass' if line else 'FAIL'}{detail}")
-    lines += [f"{key}: {value}" for key, value in extra.items()]
-    lines.append(f"result: {'PASS' if root else 'FAIL'}")
-    return "\n".join(lines)
+        out.append(f"check {line.kind}: {'pass' if line else 'FAIL'}{detail}")
+    out += [f"{key}: {value}" for key, value in extra.items()]
+    out.append(f"result: {'PASS' if root else 'FAIL'}")
+    return "\n".join(out)
 
 
 def _to_json(root: Verdict, config: dict, extra: dict) -> dict:
