@@ -181,10 +181,9 @@ def cmd_check_mf(args) -> int:
         raise FileFormatError("check-mf needs an instance with a module and a map")
     try:
         c = curvature_check(module, d)
-    except CurvatureError as exc:
-        detail = f"{exc} " + (f"entry {exc.entry}" if exc.entry else "")
+    except CurvatureError as exc:   # its message names the entry
         return _emit(args, {"input": args.input},
-                     [Verdict(False, "square-is-scalar", detail)])
+                     [Verdict(False, "square-is-scalar", str(exc))])
     return _emit(args, {"input": args.input},
                  [Verdict(True, "square-is-scalar")], {"curvature": str(c.curvature)})
 

@@ -301,7 +301,10 @@ def strict_exactness_sample(c: CurvedComplex, z: SupportLocus, trials: int,
     ok = all_exact and constant
     msg = ""
     if not all_exact:
-        msg = "fiberwise exactness failed at a sampled point"
+        bad = next(pt for pt in points if not pt.exact)
+        where = ", ".join(f"{v} = {bad.point[v]}" for v in variables)
+        msg = (f"fiberwise exactness failed at the sampled point {where}: "
+               f"rank d+ {bad.rank_plus}, rank d- {bad.rank_minus}")
     elif not constant:
         msg = f"ranks vary across samples: {sorted(ranks)}"
     return SampleReport(ok, points=tuple(points), message=msg)

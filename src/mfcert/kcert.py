@@ -89,7 +89,8 @@ class FiltrationMove:
         return [self.complex, *self.targets]
 
     def replay(self) -> Verdict:
-        """Replay the move; sound only after :func:`verify`'s curvature pass.
+        """Replay the move; sound only once d^2 = W*id is checked on the whole
+        complex, as :func:`verify`'s curvature pass does before it replays.
 
         The graded slices are not squared again: each takes the curvature of
         the whole complex, which the curvature pass has checked.  The verdict's
@@ -234,14 +235,27 @@ def verify(cert: Certificate) -> Verdict:
 
     The verdict, of kind ``certificate``, is a tree.  Its first child is the
     ``curvature`` pass, with one child per complex of ``cert.all_complexes()``
-    in that order.  When a complex lacks its recorded curvature, or a claim
-    term is curved, the replay stops there: the curvature pass is the only
-    child, and its message is the certificate's.  Otherwise one verdict per
-    move follows, then the ``ledger``, whose message is the certificate's.
+    in that order (see :func:`_curvature_pass`).  When a complex lacks its
+    recorded curvature, or a claim term is curved, the replay stops there:
+    the curvature pass is the only child, and its message is the
+    certificate's.  Otherwise one verdict per move follows, then the
+    ``ledger``, whose message is the certificate's.  Each move is replayed at
+    most once: a filtration move the curvature pass replayed shows that
+    verdict.
     """
     complexes = cert.all_complexes()
-    checks = tuple(_curvature_verdict(c) for c in complexes)
-    # no move is replayed unless every complex has its recorded curvature
+    replays: dict[int, Verdict] = {}
+
+    def replay(k: int) -> Verdict:
+        if k not in replays:
+            try:
+                replays[k] = cert.moves[k][1].replay()
+            except MALFORMED_MOVE_ERRORS as exc:
+                replays[k] = Verdict(False, "move", message=f"malformed move data: {exc}")
+        return replays[k]
+
+    checks = _curvature_pass(cert, complexes, replay)
+    # no move verdict is shown unless every complex has its recorded curvature
     stop = next((f"complex {cert.name_of(c)} does not have its recorded curvature"
                  for c, v in zip(complexes, checks) if not v), "")
     stop = stop or next((f"claim term {cert.name_of(c)} is curved, not a complex"
@@ -250,12 +264,7 @@ def verify(cert: Certificate) -> Verdict:
     curvature = Verdict(not stop, "curvature", message=stop, children=checks)
     if stop:
         return Verdict(False, "certificate", message=stop, children=(curvature,))
-    moves = []
-    for _, move in cert.moves:
-        try:
-            moves.append(move.replay())
-        except MALFORMED_MOVE_ERRORS as exc:
-            moves.append(Verdict(False, "move", message=f"malformed move data: {exc}"))
+    moves = [replay(k) for k in range(len(cert.moves))]
     residue = cert.claim_counter()
     for coeff, move in cert.moves:
         for digest, mult in move.relation().items():
@@ -266,6 +275,53 @@ def verify(cert: Certificate) -> Verdict:
     ledger = Verdict(not leftovers, "ledger", message=message)
     return Verdict(all(moves) and ledger.ok, "certificate", message=message,
                    children=(curvature, *moves, ledger))
+
+
+def _curvature_pass(cert: Certificate, complexes: list[CurvedComplex],
+                    replay) -> tuple[Verdict, ...]:
+    """The curvature verdict of each of ``complexes``, in order.
+
+    Every complex is squared except a target T of a filtration move whose
+    whole complex W was squared here and passed, records the curvature of T,
+    and whose move passes when ``replay`` (by index into ``cert.moves``)
+    replays it.  Then T passes unsquared, and squaring it would pass too:
+    d_W^2 = W*id and the filtration check give gr_j(d)^2 = W*id on the
+    slice (see :meth:`FiltrationMove.replay`), and the checked slice
+    isomorphism f with inverse g gives d_T = f.gr_j(d).g, so d_T^2 = W*id.
+    W must be no target of a filtration move itself: one step only.
+    """
+    by_digest = {c.digest(): c for c in complexes}
+    sources: dict[str, list[int]] = {}   # target digest -> its filtration moves
+    for k, (_, move) in enumerate(cert.moves):
+        if isinstance(move, FiltrationMove):
+            for t in move.targets:
+                sources.setdefault(t.digest(), []).append(k)
+    squared = {key: _curvature_verdict(c) for key, c in by_digest.items()
+               if key not in sources}
+
+    def derives(target: CurvedComplex, k: int) -> bool:
+        move = cert.moves[k][1]
+        w = move.complex
+        # W and T must be the complexes checked under their digests here
+        return (bool(squared.get(w.digest()))
+                and _same(by_digest[w.digest()], w)
+                and w.curvature == target.curvature
+                and any(_same(t, target) for t in move.targets)
+                and bool(replay(k)))
+
+    def check(c: CurvedComplex) -> Verdict:
+        key = c.digest()
+        if key in squared:
+            return squared[key]
+        if any(derives(c, k) for k in sources[key]):
+            return Verdict(True, "curvature")
+        return _curvature_verdict(c)
+
+    return tuple(check(c) for c in complexes)
+
+
+def _same(a: CurvedComplex, b: CurvedComplex) -> bool:
+    return a is b or a == b
 
 
 def _curvature_verdict(c: CurvedComplex) -> Verdict:

@@ -5,13 +5,15 @@ Run it with two checkouts, each with its own ``perfbench/`` and ``src/``::
     python3 tests/bench_pairs.py --parent path/to/old --change path/to/new \\
         --pairs 10 --seconds 20
 
-Pair k runs ``perfbench/run.py --workload W --seed k --seconds S --trace 0``
-once in each checkout, the parent first in odd pairs and the change first in
-even ones, one run at a time.  Each run gets a fresh empty bytecode cache
-(``PYTHONPYCACHEPREFIX``), so both start cold and no bytecode is left in
-either checkout.  For each workload and each end-to-end metric of the change's
-``BENCHMARK.json`` it prints the parent's median with its quartiles, the
-change's median, the pairs the change won and the change of the medians.
+Pair k runs ``perfbench/run.py --workload W --seed F+k-1 --seconds S --trace 0``
+once in each checkout, F being ``--first-seed`` (default 1; a later first seed
+rechecks a claim on seeds not used while the change was written), the parent
+first in odd pairs and the change first in even ones, one run at a time.
+Each run gets a fresh empty bytecode cache (``PYTHONPYCACHEPREFIX``), so both
+start cold and no bytecode is left in either checkout.  For each workload
+and each end-to-end metric of the change's ``BENCHMARK.json`` it prints the
+parent's median with its quartiles, the change's median, the pairs the
+change won and the change of the medians.
 A metric is ``unresolved`` when the parent's quartile spread is more than
 the metric's bound times its median; a ``claim`` holds when the change won
 at least nine pairs in ten and its median is better than the parent's by
@@ -78,6 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the changed checkout")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seconds", type=float, default=20, help="seconds per run")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="the workload seed of pair 1; pair k uses first-seed + k - 1")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable); default all")
     args = parser.parse_args(argv)
@@ -91,17 +95,19 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         for k in range(1, args.pairs + 1):
             order = ["parent", "change"] if k % 2 else ["change", "parent"]
+            seed = args.first_seed + k - 1
             for side in order:
-                result = run_once(getattr(args, side), workload, k, args.seconds)
+                result = run_once(getattr(args, side), workload, seed, args.seconds)
                 if not result["correct"] or result["failed"]:
                     bad += 1
-                    print(f"{side} {workload} seed {k}: correct {result['correct']}, "
+                    print(f"{side} {workload} seed {seed}: correct {result['correct']}, "
                           f"failed {result['failed']}", file=sys.stderr)
                 runs[side].append(result["metrics"])
-                print(f"{workload} pair {k} {side}: " + ", ".join(
+                print(f"{workload} pair {k} (seed {seed}) {side}: " + ", ".join(
                     f"{m['name']} {result['metrics'][m['name']]['value']:.4f}"
                     for m in metrics), file=sys.stderr, flush=True)
-        print(f"{workload} ({args.pairs} pairs of {args.seconds:g} s runs)")
+        print(f"{workload} ({args.pairs} pairs of {args.seconds:g} s runs, "
+              f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1})")
         for metric in metrics:
             name = metric["name"]
             print(summary(metric, [m[name]["value"] for m in runs["parent"]],

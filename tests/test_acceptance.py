@@ -320,8 +320,8 @@ def _corrupt_certificate(cert, rng, meaningful_only):
     return Certificate(cert.ring, cert.z, cert.claim, moves, cert.names), preserving
 
 
-def test_criterion_8_mutation_soundness():
-    rng = random.Random(888)
+def mutation_suites():
+    """The certificate of each suite of criterion 8, by suite name."""
     inst1 = gen_lambda_family(2, 2, 17)
     cert1 = lemma1_build(
         LambdaFamily.from_map(inst1.module, inst1.d_lambda, 2)).certificate
@@ -333,10 +333,14 @@ def test_criterion_8_mutation_soundness():
     cert3 = remark_decompose(rem.module, rem.d_lambda, rem.target,
                              list(rem.roots)).certificate
     cert4 = s_xi_reduce(gen_ramond_data(2, 1, 20)).certificate
-    suites = {"deformation": cert1, "product": cert2,
-              "roots": cert3, "twisted": cert4}
+    return {"deformation": cert1, "product": cert2,
+            "roots": cert3, "twisted": cert4}
+
+
+def test_criterion_8_mutation_soundness():
+    rng = random.Random(888)
     results = {}
-    for name, cert in suites.items():
+    for name, cert in mutation_suites().items():
         detected = 0
         for _ in range(100):
             bad, _ = _corrupt_certificate(cert, rng, meaningful_only=True)

@@ -222,6 +222,61 @@ def test_conelift_command(tmp_path, capsys):
     assert "restriction-equals-f: pass" in out
 
 
+def koszul_cone_lift():
+    """A cone-lift instance whose differentials are not zero.
+
+    A = B = C is the Koszul complex of (x, y): basis e0 = 1, e1 = ex.ey even,
+    o0 = ex, o1 = ey odd, with d(ex) = x, d(ey) = y.  g is x * id, f is the
+    identity, and h = ex ^ - is a witness: d h + h d = x * id = f g.  Every
+    odd slot of h meets a nonzero row or column of d, so changing any one
+    entry of h breaks the identity.
+    """
+    from mfcert.complexes import curvature_check
+    from mfcert.polynomials import PolyRing
+    from mfcert.scalars import rationals
+    from mfcert.serialize import ConeLiftInstance
+    from mfcert.supermod import EVEN, ODD, ParityMap, SuperModule
+
+    ring = PolyRing(rationals(), ("x", "y"))
+    x, y, z, one = ring.var("x"), ring.var("y"), ring.zero, ring.one
+    module = SuperModule(ring, ("e0", "e1"), ("o0", "o1"))
+    k = curvature_check(module, ParityMap(module, module, ODD, [
+        [z, z, x, y], [z, z, z, z], [z, -y, z, z], [z, x, z, z]]))
+    assert k.is_flat() and any(row for row in k.d.rows)
+    h = ParityMap(module, module, ODD, [
+        [z, z, z, z], [z, z, z, one], [one, z, z, z], [z, z, z, z]])
+    g = ParityMap(module, module, EVEN, [[x if i == j else z for j in range(4)]
+                                         for i in range(4)])
+    return ConeLiftInstance(k, k, k, g, ParityMap.identity(module), h)
+
+
+def test_conelift_catches_a_witness_off_at_one_entry(tmp_path, capsys):
+    from dataclasses import replace
+
+    from mfcert.serialize import write_instance
+    from mfcert.supermod import ParityMap
+
+    inst = koszul_cone_lift()
+    good = tmp_path / "good.txt"
+    good.write_text(write_instance(inst))
+    assert run(["conelift", good]) == 0
+    assert "check homotopy-witness: pass" in capsys.readouterr().out
+    h = inst.h
+    odd_slots = [(i, j) for i in range(4) for j in range(4)
+                 if (h.target.parity(i) - h.source.parity(j)) % 2 == h.parity]
+    assert len(odd_slots) == 8
+    for i, j in odd_slots:
+        entries = [list(row) for row in h.entries]
+        entries[i][j] = entries[i][j] + 1
+        bad = tmp_path / f"bad-{i}-{j}.txt"
+        bad.write_text(write_instance(replace(
+            inst, h=ParityMap(h.source, h.target, h.parity, entries))))
+        assert run(["conelift", bad]) == 1
+        out = capsys.readouterr().out
+        assert "check homotopy-witness: FAIL" in out, (i, j)
+        assert "result: FAIL" in out
+
+
 @pytest.fixture
 def koszul_mf(tmp_path):
     path = tmp_path / "mf.txt"
